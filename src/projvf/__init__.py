@@ -62,7 +62,7 @@ from .polyring import (
     partial_derivative,
     substitute,
 )
-from .rationals import Rational, format_rational, parse_rational, rat_add, rat_inv, rat_mul, rational
+from .rationals import Rational, parse_rational
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "euler_reduce",
     "evaluate",
     "fano_genus",
-    "format_rational",
     "homogeneous_degree",
     "ideal_member",
     "is_smooth_projective",
@@ -115,10 +114,6 @@ __all__ = [
     "parse_rational",
     "partial_derivative",
     "radical_member",
-    "rat_add",
-    "rat_inv",
-    "rat_mul",
-    "rational",
     "rational_eigen",
     "rref",
     "s_polynomial",

@@ -9,6 +9,7 @@ re-running on permuted generators reproduces it verbatim.
 Radical membership goes through the standard ring extension by a fresh
 variable appended after all existing ones: f lies in the radical of I exactly
 when 1 lies in I + (1 - t*f). The extension variable never leaks into output.
+Smoothness does not use radical membership: one Groebner basis decides it.
 
 Every reduction loop draws from a step budget (default generous); exhausting
 it raises :class:`ResourceLimitError` rather than truncating silently.
@@ -262,11 +263,12 @@ def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) 
 
 
 def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """Gradient criterion for smoothness of the hypersurface h = 0.
+    """Gradient criterion for smoothness of the hypersurface h = 0, from one basis.
 
-    The hypersurface is smooth exactly when h and its gradient have no common
-    projective zero, i.e. every variable lies in the radical of the ideal
-    generated by h and its partial derivatives.
+    Smooth exactly when J = (h, dh/dx_0, ..., dh/dx_n) has no projective zero,
+    i.e. every x_i lies in sqrt(J). x_i in sqrt(J) <=> x_i^k in J <=> some
+    leading monomial of the reduced basis divides x_i^k: a pure power of x_i,
+    or the unit monomial when the basis is {1} (a hyperplane).
     """
     _require_parameter_free([h], "smoothness input")
     deg = homogeneous_degree(h)
@@ -274,13 +276,9 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
         raise InputError("smoothness is defined for nonzero homogeneous polynomials of degree >= 1")
     ctx = h.context
     gens = [h] + [partial_derivative(h, v) for v in ctx.projective]
-    jac = Ideal.spanned_by(ctx, gens)
-    gb = buchberger(jac, max_steps)
-    reduced = Ideal(ctx, gb.basis)
-    for v in ctx.projective:
-        if not radical_member(ctx.variable(v), reduced, max_steps):
-            return False
-    return True
+    gb = buchberger(Ideal.spanned_by(ctx, gens), max_steps)
+    leading = [g.leading_term()[0] for g in gb.basis]
+    return all(any(sum(m) == m[i] for m in leading) for i in range(ctx.nproj))
 
 
 def zero_locus_ideal(D: Derivation) -> Ideal:

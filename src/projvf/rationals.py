@@ -18,23 +18,6 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
 
 
-def rational(numerator, denominator=1) -> Fraction:
-    return Fraction(numerator, denominator)
-
-
-def rat_add(x: Fraction, y: Fraction) -> Fraction:
-    return x + y
-
-
-def rat_mul(x: Fraction, y: Fraction) -> Fraction:
-    return x * y
-
-
-def rat_inv(x: Fraction) -> Fraction:
-    """Exact reciprocal; raises ZeroDivisionError on zero."""
-    return Fraction(1) / x
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse the ``p/q`` or ``p`` decimal text form (leading ``-`` for negatives)."""
     t = text.strip()
@@ -44,7 +27,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(t)
     except ZeroDivisionError:
         raise InputError(f"zero denominator in rational literal: {text!r}") from None
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)

@@ -18,6 +18,7 @@ from projvf import (
     is_smooth_projective,
     normal_form,
     parse_poly,
+    partial_derivative,
     radical_member,
     rational_eigen,
     rref,
@@ -25,7 +26,7 @@ from projvf import (
     vanishes_on,
     zero_locus_ideal,
 )
-from support import brute_force_member, rand_poly
+from support import brute_force_member, rand_homogeneous, rand_poly
 
 P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
 P3 = VarContext(("x0", "x1", "x2", "x3"))
@@ -177,6 +178,47 @@ class TestRadicalMembership:
             assert radical_member(f, ideal)
 
 
+CAYLEY_TEXT = "x1*x2*x3 + x0*x2*x3 + x0*x1*x3 + x0*x1*x2"
+FERMAT3_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
+CAYLEY = parse_poly(CAYLEY_TEXT, P3)
+FERMAT3 = parse_poly(FERMAT3_TEXT, P3)
+
+
+def jacobian_ideal(h):
+    return Ideal.spanned_by(h.context, [h] + [partial_derivative(h, v) for v in h.context.projective])
+
+
+def smoothness_corpus():
+    """Seeded random hypersurfaces of degree 2-3 in P^3 and P^4."""
+    rng = random.Random(20240)
+    cases = []
+    for ctx in (P3, P4):
+        for degree in (2, 3):
+            for _ in range(8):
+                h = rand_homogeneous(rng, ctx, degree, max_terms=rng.randint(3, 8))
+                if h:
+                    cases.append(h)
+    return cases
+
+
+def smooth_by_radical_membership(h):
+    """Reference route: every projective variable in the radical of GB(h, grad h)."""
+    ctx = h.context
+    reduced = Ideal(ctx, buchberger(jacobian_ideal(h)).basis)
+    return all(radical_member(ctx.variable(v), reduced) for v in ctx.projective)
+
+
+def smooth_by_sympy(sympy, h):
+    """Reference route: pure powers among sympy's grevlex leading monomials."""
+    xs = sympy.symbols(h.context.projective)
+    gens = [
+        sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator) for m, c in g.items()}, *xs)
+        for g in jacobian_ideal(h).generators
+    ]
+    leading = [p.monoms(order="grevlex")[0] for p in sympy.groebner(gens, *xs, order="grevlex").polys]
+    return all(any(sum(m) == m[i] for m in leading) for i in range(len(xs)))
+
+
 class TestSmoothness:
     def test_quadric_smooth(self):
         assert is_smooth_projective(QUADRIC)
@@ -199,6 +241,41 @@ class TestSmoothness:
     def test_rejects_zero(self):
         with pytest.raises(InputError):
             is_smooth_projective(P4.zero())
+
+    def test_hyperplane_basis_is_one(self):
+        h = parse_poly("x0 + x1", P4)
+        assert buchberger(jacobian_ideal(h)).contains_one()
+        assert is_smooth_projective(h)
+
+    def test_cayley_nodal_cubic_singular(self):
+        assert not is_smooth_projective(CAYLEY)
+
+    def test_fermat_cubic_surface_smooth(self):
+        assert is_smooth_projective(FERMAT3)
+
+    @pytest.mark.parametrize("text", [CAYLEY_TEXT, FERMAT3_TEXT, "x0^2 + x1*x2", "x0*x1 + x2*x3"])
+    def test_unused_parameter_keeps_verdict(self, text):
+        with_param = VarContext(P3.projective, ("c",))
+        verdict = is_smooth_projective(parse_poly(text, P3))
+        assert is_smooth_projective(parse_poly(text, with_param)) == verdict
+
+    @pytest.mark.parametrize("h", [CAYLEY, FERMAT3, QUADRIC])
+    def test_tiny_budget_raises(self, h):
+        with pytest.raises(ResourceLimitError):
+            is_smooth_projective(h, max_steps=1)
+
+    def test_agrees_with_radical_membership_route(self):
+        cases = smoothness_corpus()
+        verdicts = [is_smooth_projective(h) for h in cases]
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert verdicts == [smooth_by_radical_membership(h) for h in cases]
+
+    def test_agrees_with_sympy_leading_monomials(self):
+        sympy = pytest.importorskip("sympy")
+        cases = smoothness_corpus() + [CAYLEY, FERMAT3, QUADRIC, parse_poly("x0 + x1", P4)]
+        verdicts = [is_smooth_projective(h) for h in cases]
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert verdicts == [smooth_by_sympy(sympy, h) for h in cases]
 
 
 class TestZeroLocus:

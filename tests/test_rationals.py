@@ -1,54 +1,25 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from projvf import InputError, format_rational, parse_rational, rat_add, rat_inv, rat_mul, rational
+from projvf import InputError, parse_rational
 
 fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
 
-def test_addition_examples():
-    assert rat_add(rational(1, 2), rational(1, 3)) == rational(5, 6)
-    x = rational(-7, 11)
-    assert rat_add(x, rational(0)) == x
-    assert rat_add(rational(1, 2), rational(-1, 2)) == rational(0, 1)
-
-
-def test_multiplication_examples():
-    assert rat_mul(rational(2, 3), rational(3, 4)) == rational(1, 2)
-    x = rational(9, 4)
-    assert rat_mul(x, rational(1)) == x
-    assert rat_mul(x, rational(0)) == 0
-
-
-def test_inverse_examples():
-    assert rat_inv(rational(-2, 5)) == rational(-5, 2)
-    assert rat_inv(rational(1)) == 1
-    assert rat_inv(rational(7)) == rational(1, 7)
-    with pytest.raises(ZeroDivisionError):
-        rat_inv(rational(0))
-
-
 def test_canonical_form_is_unique():
-    assert rational(2, 4) == rational(1, 2)
-    assert rational(-3, -6) == rational(1, 2)
-    assert (rational(2, 4).numerator, rational(2, 4).denominator) == (1, 2)
-    assert rational(0, 5) == rational(0, 1)
-    assert rational(3, -6).denominator > 0
-
-
-@given(fractions, fractions, fractions)
-def test_field_axioms(x, y, z):
-    assert rat_add(rat_add(x, y), z) == rat_add(x, rat_add(y, z))
-    assert rat_mul(x, rat_add(y, z)) == rat_add(rat_mul(x, y), rat_mul(x, z))
-    assert rat_mul(rat_mul(x, y), z) == rat_mul(x, rat_mul(y, z))
+    # polynomial equality compares coefficients structurally, which relies on this
+    assert Fraction(2, 4) == Fraction(1, 2)
+    assert Fraction(-3, -6) == Fraction(1, 2)
+    assert (Fraction(2, 4).numerator, Fraction(2, 4).denominator) == (1, 2)
+    assert Fraction(0, 5) == Fraction(0, 1)
+    assert Fraction(3, -6).denominator > 0
 
 
 @given(fractions)
 def test_round_trip(x):
-    assert parse_rational(format_rational(x)) == x
+    assert parse_rational(str(x)) == x
 
 
 def test_parse_rational_text_forms():
