@@ -12,7 +12,11 @@ objects a subcommand needs::
     }
 
 Exit codes: 0 affirmative/success, 1 negative verdict, 2 input error,
-3 resource-cap exceeded.
+3 resource-cap exceeded, 4 internal error.
+
+Each ``cmd_*`` handler takes the loaded problem (``None`` for subcommands
+without a file) and returns its JSON payload, its text report and its
+verdict; ``run`` alone loads the file, prints and picks the exit code.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .analysis import (
@@ -53,6 +57,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -111,19 +116,10 @@ def load_problem(path: str) -> ProblemFile:
     return ProblemFile(context=ctx, h=h, derivation=derivation, ideal=ideal)
 
 
-def _require(problem: ProblemFile, field: str):
-    value = getattr(problem, field)
+def _require(value, key: str):
     if value is None:
-        key = {"h": "h", "derivation": "D", "ideal": "ideal"}[field]
         raise InputError(f"this subcommand needs the {key!r} field in the problem file")
     return value
-
-
-def _emit(payload: dict, text: str, as_json: bool):
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        print(text)
 
 
 def _use_color() -> bool:
@@ -140,45 +136,29 @@ def _verdict_word(ok: bool) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_gb(args) -> int:
-    problem = load_problem(args.file)
-    ideal = _require(problem, "ideal")
-    gb = buchberger(ideal, args.max_steps)
+def cmd_gb(problem: ProblemFile, args):
+    gb = buchberger(_require(problem.ideal, "ideal"), args.max_steps)
     basis = [str(p) for p in gb.basis]
-    _emit({"order": gb.order, "basis": basis}, "\n".join(basis) if basis else "0", args.json)
-    return EXIT_OK
+    return {"order": gb.order, "basis": basis}, "\n".join(basis) if basis else "0", True
 
 
-def cmd_member(args) -> int:
-    problem = load_problem(args.file)
-    f = _require(problem, "h")
-    ideal = _require(problem, "ideal")
-    verdict = ideal_member(f, ideal, args.max_steps)
-    _emit({"member": verdict}, "member" if verdict else "not a member", args.json)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+def cmd_member(problem: ProblemFile, args):
+    verdict = ideal_member(_require(problem.h, "h"), _require(problem.ideal, "ideal"), args.max_steps)
+    return {"member": verdict}, "member" if verdict else "not a member", verdict
 
 
-def cmd_radical_member(args) -> int:
-    problem = load_problem(args.file)
-    f = _require(problem, "h")
-    ideal = _require(problem, "ideal")
-    verdict = radical_member(f, ideal, args.max_steps)
-    _emit({"radical_member": verdict}, "in radical" if verdict else "not in radical", args.json)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+def cmd_radical_member(problem: ProblemFile, args):
+    verdict = radical_member(_require(problem.h, "h"), _require(problem.ideal, "ideal"), args.max_steps)
+    return {"radical_member": verdict}, "in radical" if verdict else "not in radical", verdict
 
 
-def cmd_smooth(args) -> int:
-    problem = load_problem(args.file)
-    h = _require(problem, "h")
-    verdict = is_smooth_projective(h, args.max_steps)
-    _emit({"smooth": verdict}, "smooth" if verdict else "singular", args.json)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+def cmd_smooth(problem: ProblemFile, args):
+    verdict = is_smooth_projective(_require(problem.h, "h"), args.max_steps)
+    return {"smooth": verdict}, "smooth" if verdict else "singular", verdict
 
 
-def cmd_stabilizer(args) -> int:
-    problem = load_problem(args.file)
-    h = _require(problem, "h")
-    sol = stabilizer_algebra(h)
+def cmd_stabilizer(problem: ProblemFile, args):
+    sol = stabilizer_algebra(_require(problem.h, "h"))
     payload = {
         "dimension": sol.dimension,
         "pairs": [{"matrix": A.to_strings(), "scaling": str(lam)} for A, lam in sol.pairs],
@@ -186,13 +166,11 @@ def cmd_stabilizer(args) -> int:
     lines = [f"dimension {sol.dimension}"]
     for A, lam in sol.pairs:
         lines.append(f"scaling {lam}: {A}")
-    _emit(payload, "\n".join(lines), args.json)
-    return EXIT_OK
+    return payload, "\n".join(lines), True
 
 
-def cmd_zeros(args) -> int:
-    problem = load_problem(args.file)
-    D = _require(problem, "derivation")
+def cmd_zeros(problem: ProblemFile, args):
+    D = _require(problem.derivation, "D")
     locus = zero_locus_ideal(D)
     eigen = rational_eigen(RatMatrix(D.constant_entries()).transpose())
     payload = {
@@ -213,54 +191,40 @@ def cmd_zeros(args) -> int:
     for p in eigen.pairs:
         lines.append(f"  value {p.value} (multiplicity {p.multiplicity}, dimension {len(p.space)})")
     lines.append(f"residual factor: {eigen.residual}")
-    _emit(payload, "\n".join(lines), args.json)
-    return EXIT_OK
+    return payload, "\n".join(lines), True
 
 
-def cmd_vanishes(args) -> int:
-    problem = load_problem(args.file)
-    D = _require(problem, "derivation")
-    ideal = _require(problem, "ideal")
-    if problem.h is not None:
-        verdict = check_vanishing_on_curve(
-            problem.h, D, ideal, scheme_theoretic=args.scheme_theoretic, max_steps=args.max_steps
-        )
-        payload = {
-            "stabilizes": verdict.stabilizes,
-            "smooth": verdict.smooth,
-            "vanishes_on_curve": verdict.vanishes_on_curve,
-            "scaling": None if verdict.scaling is None else str(verdict.scaling),
-            "euler_witness": verdict.euler_witness,
-            "failures": list(verdict.failures),
-        }
-        lines = [
-            f"stabilizes: {verdict.stabilizes}"
-            + (f" (scaling {verdict.scaling})" if verdict.scaling is not None else ""),
-            f"smooth: {verdict.smooth}",
-            f"vanishes on curve: {verdict.vanishes_on_curve}",
-        ]
-        if verdict.euler_witness:
-            lines.append("note: the derivation is a multiple of the Euler field (degenerate witness)")
-        lines += [f"failure: {f}" for f in verdict.failures]
-        _emit(payload, "\n".join(lines), args.json)
-        return EXIT_OK if verdict.all_pass else EXIT_NEGATIVE
-    verdict = vanishes_on(D, ideal, scheme_theoretic=args.scheme_theoretic, max_steps=args.max_steps)
-    _emit({"vanishes": verdict}, "vanishes on the zero set" if verdict else "does not vanish", args.json)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+def cmd_vanishes(problem: ProblemFile, args):
+    D = _require(problem.derivation, "D")
+    ideal = _require(problem.ideal, "ideal")
+    if problem.h is None:
+        verdict = vanishes_on(D, ideal, scheme_theoretic=args.scheme_theoretic, max_steps=args.max_steps)
+        return {"vanishes": verdict}, "vanishes on the zero set" if verdict else "does not vanish", verdict
+    verdict = check_vanishing_on_curve(
+        problem.h, D, ideal, scheme_theoretic=args.scheme_theoretic, max_steps=args.max_steps
+    )
+    scaling = None if verdict.scaling is None else str(verdict.scaling)
+    lines = [
+        f"stabilizes: {verdict.stabilizes}" + (f" (scaling {scaling})" if scaling is not None else ""),
+        f"smooth: {verdict.smooth}",
+        f"vanishes on curve: {verdict.vanishes_on_curve}",
+    ]
+    if verdict.euler_witness:
+        lines.append("note: the derivation is a multiple of the Euler field (degenerate witness)")
+    lines += [f"failure: {f}" for f in verdict.failures]
+    return {**asdict(verdict), "scaling": scaling}, "\n".join(lines), verdict.all_pass
 
 
-def cmd_cone_shape(args) -> int:
-    problem = load_problem(args.file)
-    h = _require(problem, "h")
+def cmd_cone_shape(problem: ProblemFile, args):
+    h = _require(problem.h, "h")
     try:
         shape = cone_shape(h)
     except ConeShapeError as exc:
-        _emit(
+        return (
             {"cone_shape": False, "offending_monomial": exc.monomial},
             f"not cone-shaped: offending monomial {exc.monomial}",
-            args.json,
+            False,
         )
-        return EXIT_NEGATIVE
     payload = {
         "cone_shape": True,
         "base": str(shape.base),
@@ -279,48 +243,28 @@ def cmd_cone_shape(args) -> int:
             f"({'some nonzero' if shape.x4_top_nonzero else 'ALL ZERO'})",
         ]
     )
-    _emit(payload, text, args.json)
-    return EXIT_OK
+    return payload, text, True
 
 
-def cmd_cases(args) -> int:
+def cmd_cases(problem: None, args):
     rows = degree_case_table()
-    payload = {
-        "cases": [
-            {
-                "gen_cube": c.gen_cube,
-                "degree": c.degree,
-                "divisor_index": c.divisor_index,
-                "fano_index": c.fano_index,
-                "verdict": c.verdict,
-            }
-            for c in rows
-        ]
-    }
     lines = ["cube  degree  divisor-index  fano-index  verdict"]
     for c in rows:
         lines.append(f"{c.gen_cube:>4}  {c.degree:>6}  {c.divisor_index:>13}  {c.fano_index:>10}  {c.verdict}")
-    _emit(payload, "\n".join(lines), args.json)
-    return EXIT_OK
+    return {"cases": [asdict(c) for c in rows]}, "\n".join(lines), True
 
 
-def cmd_genus(args) -> int:
+def cmd_genus(problem: None, args):
     g = fano_genus(args.index, args.cube)
-    _emit({"genus": g}, str(g), args.json)
-    return EXIT_OK
+    return {"genus": g}, str(g), True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(problem: None, args):
     results = run_all()
-    payload = {"checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]}
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        for r in results:
-            print(f"{_verdict_word(r.ok)} {r.name}: {r.detail}")
-        passed = sum(1 for r in results if r.ok)
-        print(f"{passed}/{len(results)} checks passed")
-    return EXIT_OK if all(r.ok for r in results) else EXIT_NEGATIVE
+    lines = [f"{_verdict_word(r.ok)} {r.name}: {r.detail}" for r in results]
+    passed = sum(1 for r in results if r.ok)
+    lines.append(f"{passed}/{len(results)} checks passed")
+    return {"checks": [asdict(r) for r in results]}, "\n".join(lines), passed == len(results)
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -360,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use plain ideal membership instead of radical membership",
     )
     add("cone-shape", cmd_cone_shape, "split h into base + (last variable) * cofactor")
-    cases = add("cases", cmd_cases, "admissible (cube, degree) pairs with their indices", needs_file=False)
+    add("cases", cmd_cases, "admissible (cube, degree) pairs with their indices", needs_file=False)
     genus = add("genus", cmd_genus, "genus from index and ample-generator cube", needs_file=False)
     genus.add_argument("index", type=int)
     genus.add_argument("cube", type=int)
@@ -375,16 +319,19 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        problem = load_problem(args.file) if "file" in args else None
+        payload, text, ok = args.fn(problem, args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a crash must never read as a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(json.dumps(payload, indent=2, sort_keys=False) if args.json else text)
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def main() -> None:

@@ -1,8 +1,9 @@
 """Acceptance suite: the package's release gate, one test per criterion.
 
 Every check is exact (rational arithmetic, zero tolerance) and the criteria
-with runtime budgets assert them. One PASS/FAIL line per criterion is printed
-straight to the terminal, bypassing capture.
+with runtime budgets assert them. The golden fixtures are the ones
+``projvf verify-paper`` runs, imported from ``projvf.verify``. One PASS/FAIL
+line per criterion is printed straight to the terminal, bypassing capture.
 """
 
 import itertools
@@ -12,7 +13,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from projvf import (
-    Derivation,
     Ideal,
     RatMatrix,
     VarContext,
@@ -32,20 +32,22 @@ from projvf import (
     stabilizer_algebra,
     zero_locus_ideal,
 )
+from projvf.verify import (
+    CONE,
+    FERMAT,
+    LINE_FIELD,
+    P3,
+    P4,
+    QUADRIC,
+    QUADRIC_CURVE,
+    QUADRIC_FIELD,
+)
 from support import (
     brute_force_member,
     brute_force_stabilizer_dimension,
     rand_homogeneous,
     rand_matrix,
     rand_poly,
-)
-
-P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
-P3 = VarContext(("x0", "x1", "x2", "x3"))
-QUADRIC = parse_poly("x0^2 + x1^2 + x2^2 + x3*x4", P4)
-FIELD = Derivation.diagonal(P4, (0, 0, 0, 1, -1))
-CURVE = Ideal.spanned_by(
-    P4, (parse_poly("x0^2 + x1^2 + x2^2", P4), parse_poly("x3", P4), parse_poly("x4", P4))
 )
 
 
@@ -67,12 +69,12 @@ def criterion(capsys, number, name, limit=None):
 
 def test_c01_quadric_golden_case(capsys):
     with criterion(capsys, 1, "quadric derivative vanishes exactly", limit=0.1):
-        assert FIELD(QUADRIC) == P4.zero()
+        assert QUADRIC_FIELD(QUADRIC) == P4.zero()
 
 
 def test_c02_quadric_vanishing_verdict(capsys):
     with criterion(capsys, 2, "quadric curve verdict (stabilizes, smooth, vanishes)", limit=5.0):
-        v = check_vanishing_on_curve(QUADRIC, FIELD, CURVE)
+        v = check_vanishing_on_curve(QUADRIC, QUADRIC_FIELD, QUADRIC_CURVE)
         assert (v.stabilizes, v.smooth, v.vanishes_on_curve) == (True, True, True)
         assert v.scaling == Fraction(0)
 
@@ -102,8 +104,7 @@ def test_c04_nonexistence_certificates(capsys):
 
 def test_c05_line_pair_golden_case(capsys):
     with criterion(capsys, 5, "zero locus of the line-pair field in four variables"):
-        D = Derivation.diagonal(P3, (0, 0, 1, 1))
-        locus = zero_locus_ideal(D)
+        locus = zero_locus_ideal(LINE_FIELD)
 
         # independent construction of the two-line ideal: the intersection of
         # the monomial ideals (x0, x1) and (x2, x3) is generated by the lcms
@@ -112,7 +113,7 @@ def test_c05_line_pair_golden_case(capsys):
         union_gens = [parse_poly(f"{p}*{q}", P3) for p in lines_a for q in lines_b]
         assert buchberger(locus) == buchberger(Ideal.spanned_by(P3, union_gens))
 
-        eigen = rational_eigen(RatMatrix(D.constant_entries()).transpose())
+        eigen = rational_eigen(RatMatrix(LINE_FIELD.constant_entries()).transpose())
         spaces = {pair.value: set(pair.space) for pair in eigen.pairs}
         assert spaces == {
             Fraction(0): {(1, 0, 0, 0), (0, 1, 0, 0)},
@@ -160,9 +161,8 @@ def test_c07_degree_case_table(capsys):
 def test_c08_smoothness_criterion(capsys):
     with criterion(capsys, 8, "smoothness of diagonal hypersurfaces, singularity of the cone", limit=10.0):
         for d in (2, 3, 4):
-            h = parse_poly(" + ".join(f"x{i}^{d}" for i in range(5)), P4)
-            assert is_smooth_projective(h), f"degree {d}"
-        assert not is_smooth_projective(parse_poly("x0^2 + x1^2 + x2^2", P4))
+            assert is_smooth_projective(FERMAT[d]), f"degree {d}"
+        assert not is_smooth_projective(CONE)
 
 
 def test_c09_groebner_oracle_equivalence(capsys):
@@ -197,11 +197,10 @@ def test_c09_groebner_oracle_equivalence(capsys):
 
 def test_c10_stabilizer_dimensions(capsys):
     with criterion(capsys, 10, "stabilizer dimensions: quadric 11, diagonal cubic 1"):
-        fermat3 = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3", P4)
         assert stabilizer_algebra(QUADRIC).dimension == 11
         assert brute_force_stabilizer_dimension(QUADRIC) == 11
-        assert stabilizer_algebra(fermat3).dimension == 1
-        assert brute_force_stabilizer_dimension(fermat3) == 1
+        assert stabilizer_algebra(FERMAT[3]).dimension == 1
+        assert brute_force_stabilizer_dimension(FERMAT[3]) == 1
 
 
 def test_c11_property_suites(capsys):

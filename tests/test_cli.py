@@ -1,8 +1,14 @@
 import json
+import os
 
 import pytest
 
+from projvf import cli
 from projvf.cli import run
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+with open(os.path.join(BENCH_DIR, "paper_cli_expected.json"), encoding="utf-8") as _fh:
+    RECORDED = json.load(_fh)["cases"]
 
 QUADRIC_PROBLEM = {
     "vars": ["x0", "x1", "x2", "x3", "x4"],
@@ -16,6 +22,29 @@ QUADRIC_PROBLEM = {
     ],
     "ideal": ["x0^2 + x1^2 + x2^2", "x3", "x4"],
 }
+
+
+EULER_PROBLEM = dict(
+    QUADRIC_PROBLEM, D=[["1" if i == j else "0" for j in range(5)] for i in range(5)]
+)
+ROTATION_PROBLEM = {"vars": ["x0", "x1"], "D": [["0", "1"], ["-2", "0"]]}
+ZERO_IDEAL_PROBLEM = {"vars": ["x0", "x1"], "h": "x0", "ideal": ["0", "0*x1"]}
+
+CASES_TEXT = """\
+cube  degree  divisor-index  fano-index  verdict
+   4       1              0           1  quartic
+   3       1              1           2  cubic
+   2       1              2           3  quadric
+   2       2              0           2  quadric
+   2       3             -2           1  quadric
+   1       1              3           4  P^3
+   1       2              2           4  P^3
+   1       3              1           4  P^3
+"""
+
+
+def as_json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.fixture
@@ -185,3 +214,205 @@ class TestVerifySuite:
         doc = json.loads(capsys.readouterr().out)
         assert all(check["ok"] for check in doc["checks"])
         assert len(doc["checks"]) == 13
+
+
+def _case_rows(rows):
+    keys = ("gen_cube", "degree", "divisor_index", "fano_index", "verdict")
+    return [dict(zip(keys, row)) for row in rows]
+
+
+# Exact stdout of paths the recorded benchmark invocations do not reach.
+PINNED = [
+    pytest.param(["cases"], None, 0, CASES_TEXT, id="cases"),
+    pytest.param(
+        ["cases", "--json"],
+        None,
+        0,
+        as_json(
+            {
+                "cases": _case_rows(
+                    [
+                        (4, 1, 0, 1, "quartic"),
+                        (3, 1, 1, 2, "cubic"),
+                        (2, 1, 2, 3, "quadric"),
+                        (2, 2, 0, 2, "quadric"),
+                        (2, 3, -2, 1, "quadric"),
+                        (1, 1, 3, 4, "P^3"),
+                        (1, 2, 2, 4, "P^3"),
+                        (1, 3, 1, 4, "P^3"),
+                    ]
+                )
+            }
+        ),
+        id="cases-json",
+    ),
+    pytest.param(["genus", "3", "2", "--json"], None, 0, '{\n  "genus": 28\n}\n', id="genus-json"),
+    pytest.param(
+        ["zeros"],
+        EULER_PROBLEM,
+        0,
+        "zero-locus generators:\n"
+        "  (zero ideal: the field vanishes everywhere)\n"
+        "eigenspaces of the transposed matrix:\n"
+        "  value 1 (multiplicity 5, dimension 5)\n"
+        "residual factor: 1\n",
+        id="zeros-euler",
+    ),
+    pytest.param(
+        ["zeros", "--json"],
+        EULER_PROBLEM,
+        0,
+        as_json(
+            {
+                "generators": [],
+                "eigen": [
+                    {
+                        "value": "1",
+                        "multiplicity": 5,
+                        "space": [["1" if i == j else "0" for j in range(5)] for i in range(5)],
+                    }
+                ],
+                "residual": "1",
+            }
+        ),
+        id="zeros-euler-json",
+    ),
+    pytest.param(
+        ["zeros"],
+        ROTATION_PROBLEM,
+        0,
+        "zero-locus generators:\n"
+        "  x0^2 + 2*x1^2\n"
+        "eigenspaces of the transposed matrix:\n"
+        "residual factor: t^2 + 2\n",
+        id="zeros-irrational",
+    ),
+    pytest.param(
+        ["zeros", "--json"],
+        ROTATION_PROBLEM,
+        0,
+        as_json({"generators": ["x0^2 + 2*x1^2"], "eigen": [], "residual": "t^2 + 2"}),
+        id="zeros-irrational-json",
+    ),
+    pytest.param(
+        ["vanishes"],
+        EULER_PROBLEM,
+        0,
+        "stabilizes: True (scaling 2)\n"
+        "smooth: True\n"
+        "vanishes on curve: True\n"
+        "note: the derivation is a multiple of the Euler field (degenerate witness)\n",
+        id="vanishes-euler",
+    ),
+    pytest.param(
+        ["vanishes", "--json"],
+        EULER_PROBLEM,
+        0,
+        as_json(
+            {
+                "stabilizes": True,
+                "smooth": True,
+                "vanishes_on_curve": True,
+                "scaling": "2",
+                "euler_witness": True,
+                "failures": [],
+            }
+        ),
+        id="vanishes-euler-json",
+    ),
+    pytest.param(
+        ["vanishes"],
+        {k: v for k, v in QUADRIC_PROBLEM.items() if k != "h"},
+        0,
+        "vanishes on the zero set\n",
+        id="vanishes-without-h",
+    ),
+    pytest.param(
+        ["vanishes", "--json"],
+        {k: v for k, v in QUADRIC_PROBLEM.items() if k != "h"},
+        0,
+        '{\n  "vanishes": true\n}\n',
+        id="vanishes-without-h-json",
+    ),
+    pytest.param(
+        ["vanishes", "--json"],
+        {"vars": QUADRIC_PROBLEM["vars"], "D": QUADRIC_PROBLEM["D"], "ideal": ["x0"]},
+        1,
+        '{\n  "vanishes": false\n}\n',
+        id="does-not-vanish-json",
+    ),
+    pytest.param(["gb"], ZERO_IDEAL_PROBLEM, 0, "0\n", id="gb-zero-ideal"),
+    pytest.param(
+        ["gb", "--json"], ZERO_IDEAL_PROBLEM, 0, '{\n  "order": "grevlex",\n  "basis": []\n}\n', id="gb-zero-ideal-json"
+    ),
+    pytest.param(["member"], ZERO_IDEAL_PROBLEM, 1, "not a member\n", id="member-zero-ideal"),
+    pytest.param(["radical-member"], ZERO_IDEAL_PROBLEM, 1, "not in radical\n", id="radical-member-zero-ideal"),
+]
+
+# Exact stderr of input errors: exit 2 and nothing on stdout.
+PINNED_ERRORS = [
+    pytest.param(
+        ["genus", "1", "1"], None, "error: index^3 * cube must be even for an integral genus\n", id="genus-parity"
+    ),
+    pytest.param(
+        ["smooth"], {"vars": ["x0", "x1"]}, "error: this subcommand needs the 'h' field in the problem file\n", id="no-h"
+    ),
+    pytest.param(
+        ["zeros"], {"vars": ["x0", "x1"]}, "error: this subcommand needs the 'D' field in the problem file\n", id="no-D"
+    ),
+    pytest.param(
+        ["gb"], {"vars": ["x0", "x1"]}, "error: this subcommand needs the 'ideal' field in the problem file\n", id="no-ideal"
+    ),
+    pytest.param(
+        ["stabilizer"], ROTATION_PROBLEM, "error: this subcommand needs the 'h' field in the problem file\n", id="no-h-stabilizer"
+    ),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv, doc, code, stdout", PINNED)
+    def test_stdout_and_exit_code(self, argv, doc, code, stdout, problem, capsys):
+        assert run(argv + ([problem(doc)] if doc is not None else [])) == code
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv, doc, stderr", PINNED_ERRORS)
+    def test_input_error_message(self, argv, doc, stderr, problem, capsys):
+        assert run(argv + ([problem(doc)] if doc is not None else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == stderr
+
+    def test_missing_file_message(self, capsys):
+        assert run(["smooth", "/nonexistent/problem.json"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read problem file /nonexistent/problem.json: [Errno 2]"
+        )
+
+
+@pytest.mark.parametrize("case", RECORDED, ids=lambda case: " ".join(case["argv"]))
+def test_replays_recorded_invocation(case, capsys):
+    """The benchmark's recorded stdout and exit code, byte for byte."""
+    argv = [os.path.join(BENCH_DIR, a) if a.startswith("problems/") else a for a in case["argv"]]
+    assert run(argv) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+class TestInternalErrors:
+    def test_crashing_handler_exits_4(self, monkeypatch, capsys):
+        def boom(problem, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_cases", boom)
+        assert run(["cases"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+    def test_deep_nesting_is_no_verdict(self, problem, capsys):
+        depth = 3000
+        doc = {"vars": ["x0", "x1"], "h": "(" * depth + "x0" + ")" * depth, "ideal": ["x0"]}
+        code = run(["member", problem(doc)])
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_INTERNAL)
+        assert "Traceback" not in capsys.readouterr().err
