@@ -11,8 +11,16 @@ variable appended after all existing ones: f lies in the radical of I exactly
 when 1 lies in I + (1 - t*f). The extension variable never leaks into output.
 Smoothness does not use radical membership: one Groebner basis decides it.
 
-Every reduction loop draws from a step budget (default generous); exhausting
-it raises :class:`ResourceLimitError` rather than truncating silently.
+Reduction works on one mutable term dict of the running polynomial plus a
+heap of its monomials for the leading term; a step touches only the divisor's
+terms. Results are wrapped with the trusted constructor
+(``Polynomial._trusted``), since they are clean by construction. The divisor
+is always the first basis element whose leading monomial divides the current
+leading term, so the sequence of steps is that of textbook division.
+
+Every reduction step draws one unit from a step budget (default generous);
+exhausting it raises :class:`ResourceLimitError` rather than truncating
+silently.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .derivations import Derivation
@@ -84,11 +93,11 @@ class GroebnerBasis:
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -96,39 +105,73 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
 
 
 def _sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
+
+
+def _add_scaled(terms: dict[Monomial, Fraction], addend, shift: Monomial, q: Fraction) -> list[Monomial]:
+    """terms += q * x^shift * addend in place; returns the monomials it created."""
+    created = []
+    for m, c in addend:
+        t = tuple(map(add, m, shift))
+        d = c * q
+        v = terms.get(t)
+        if v is None:
+            terms[t] = d
+            created.append(t)
+        else:
+            v += d
+            if v:
+                terms[t] = v
+            else:
+                del terms[t]
+    return created
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     mf, cf = f.leading_term()
     mg, cg = g.leading_term()
     lcm = _lcm(mf, mg)
-    return f.mul_term(_sub(lcm, mf), Fraction(1) / cf) - g.mul_term(_sub(lcm, mg), Fraction(1) / cg)
+    terms: dict[Monomial, Fraction] = {}
+    _add_scaled(terms, f._terms.items(), _sub(lcm, mf), 1 / cf)
+    _add_scaled(terms, g._terms.items(), _sub(lcm, mg), -1 / cg)
+    return Polynomial._trusted(f.context, terms)
 
 
-def _reduce(f: Polynomial, basis: Sequence[Polynomial], budget: _Budget) -> Polynomial:
-    """Full normal form of f against a list of nonzero polynomials."""
+def _row(g: Polynomial) -> tuple:
+    """The reduction row of g: leading monomial, leading coefficient, other terms."""
+    lm, lc = g.leading_term()
+    return lm, lc, [(m, c) for m, c in g._terms.items() if m != lm]
+
+
+def _reduce(f: Polynomial, rows: Sequence[tuple], budget: _Budget) -> Polynomial:
+    """Full normal form of f against the rows of nonzero polynomials.
+
+    The running polynomial is one mutable term dict; a heap of its monomials
+    (entries of cancelled terms are skipped when popped) yields its leading
+    term. Each step spends one budget unit and either cancels the leading
+    term with the first row whose leading monomial divides it, touching only
+    that row's other terms, or moves it to the remainder.
+    """
+    p = dict(f._terms)
+    # (-degree, reversed exponents) orders monomials opposite to order_key,
+    # so the min-heap pops the largest monomial first
+    heap = [(-sum(m), m[::-1], m) for m in p]
+    heapq.heapify(heap)
     remainder: dict[Monomial, Fraction] = {}
-    p = f
-    while p:
+    while heap:
+        m = heapq.heappop(heap)[2]
+        c = p.pop(m, None)
+        if c is None:
+            continue
         budget.spend()
-        mp, cp = p.leading_term()
-        for g in basis:
-            mg, cg = g.leading_term()
-            if _divides(mg, mp):
-                p = p - g.mul_term(_sub(mp, mg), cp / cg)
+        for lm, lc, tail in rows:
+            if all(map(le, lm, m)):
+                for t in _add_scaled(p, tail, _sub(m, lm), -c / lc):
+                    heapq.heappush(heap, (-sum(t), t[::-1], t))
                 break
         else:
-            remainder[mp] = cp
-            p = _drop_leading(p)
-    return Polynomial(f.context, remainder)
-
-
-def _drop_leading(p: Polynomial) -> Polynomial:
-    m, _ = p.leading_term()
-    terms = dict(p._terms)
-    del terms[m]
-    return Polynomial(p.context, terms)
+            remainder[m] = c
+    return Polynomial._trusted(f.context, remainder)
 
 
 def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Budget) -> list[Polynomial]:
@@ -136,12 +179,13 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
     basis = [g.monic() for g in generators if g]
     if not basis:
         return []
+    rows = [_row(g) for g in basis]
 
     heap: list[tuple[int, tuple, int, int]] = []
     pending: set[tuple[int, int]] = set()
 
     def push(i: int, j: int):
-        lcm = _lcm(basis[i].leading_term()[0], basis[j].leading_term()[0])
+        lcm = _lcm(rows[i][0], rows[j][0])
         heapq.heappush(heap, (sum(lcm), order_key(lcm), i, j))
         pending.add((i, j))
 
@@ -154,16 +198,16 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        lti = basis[i].leading_term()[0]
-        ltj = basis[j].leading_term()[0]
+        lti = rows[i][0]
+        ltj = rows[j][0]
         if _coprime(lti, ltj):
             continue
         lcm = _lcm(lti, ltj)
         skip = False
-        for k in range(len(basis)):
+        for k, (ltk, _, _) in enumerate(rows):
             if k in (i, j):
                 continue
-            if not _divides(basis[k].leading_term()[0], lcm):
+            if not _divides(ltk, lcm):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -172,33 +216,32 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
                 break
         if skip:
             continue
-        remainder = _reduce(s_polynomial(basis[i], basis[j]), basis, budget)
+        remainder = _reduce(s_polynomial(basis[i], basis[j]), rows, budget)
         if remainder:
             basis.append(remainder.monic())
+            rows.append(_row(basis[-1]))
             new = len(basis) - 1
             for k in range(new):
                 push(k, new)
 
     # minimalise: drop elements whose leading term another element divides
-    minimal: list[Polynomial] = []
-    for i, g in enumerate(basis):
-        lt = g.leading_term()[0]
+    minimal: list[int] = []
+    for i, (lt, _, _) in enumerate(rows):
         redundant = False
-        for k, other in enumerate(basis):
+        for k, (lo, _, _) in enumerate(rows):
             if k == i:
                 continue
-            lo = other.leading_term()[0]
             if _divides(lo, lt) and (lo != lt or k < i):
                 redundant = True
                 break
         if not redundant:
-            minimal.append(g)
+            minimal.append(i)
 
     # inter-reduce tails for the unique reduced basis
     reduced: list[Polynomial] = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_reduce(g, others, budget).monic() if others else g)
+    for i in minimal:
+        others = [rows[k] for k in minimal if k != i]
+        reduced.append(_reduce(basis[i], others, budget).monic() if others else basis[i])
     reduced.sort(key=lambda p: order_key(p.leading_term()[0]), reverse=True)
     return reduced
 
@@ -222,7 +265,7 @@ def normal_form(f: Polynomial, G: GroebnerBasis, max_steps: int = DEFAULT_MAX_ST
         raise InputError("polynomial and basis belong to different variable contexts")
     if not G.basis:
         return f
-    return _reduce(f, G.basis, _Budget(max_steps))
+    return _reduce(f, [_row(g) for g in G.basis], _Budget(max_steps))
 
 
 def ideal_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> bool:

@@ -9,8 +9,10 @@ Grammar, tightest binding first:
     atom    :=  INTEGER | NAME | '(' expr ')'
 
 Implicit multiplication is rejected, exponents must be nonnegative integer
-literals, and '/' only accepts a nonzero constant divisor (coefficients such
-as 1/2). Every error carries the offset of the offending character.
+literals of at most ``MAX_EXPONENT``, and '/' only accepts a nonzero constant
+divisor (coefficients such as 1/2). Parentheses nest at most ``MAX_NESTING``
+deep, so the recursion stays far from Python's limit. Every error carries the
+offset of the offending character.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from .errors import ParseError
 from .polyring import Polynomial, VarContext
 
 _SYMBOLS = "+-*/^()"
+
+#: deepest parenthesis nesting accepted (each level costs five Python frames)
+MAX_NESTING = 50
+#: largest exponent literal accepted; the power is checked before it is expanded
+MAX_EXPONENT = 100
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,7 @@ class _Parser:
         self.tokens = tokens
         self.ctx = ctx
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -102,10 +110,12 @@ class _Parser:
         return value
 
     def unary(self) -> Polynomial:
-        if self.peek().kind == "-":
+        negate = False
+        while self.peek().kind == "-":
             self.advance()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> Polynomial:
         base = self.atom()
@@ -117,19 +127,26 @@ class _Parser:
             if exp.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", caret.pos)
             self.advance()
-            return base ** int(exp.text)
+            n = _integer(exp)
+            if n > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the maximum of {MAX_EXPONENT}", exp.pos)
+            return base**n
         return base
 
     def atom(self) -> Polynomial:
         tok = self.advance()
         if tok.kind == "int":
-            return self.ctx.constant(int(tok.text))
+            return self.ctx.constant(_integer(tok))
         if tok.kind == "name":
             if tok.text not in self.ctx.names:
                 raise ParseError(f"undeclared identifier {tok.text!r}", tok.pos)
             return self.ctx.variable(tok.text)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", tok.pos)
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             closing = self.advance()
             if closing.kind != ")":
                 raise ParseError("expected closing parenthesis", closing.pos)
@@ -137,6 +154,13 @@ class _Parser:
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.pos)
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+
+
+def _integer(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("integer literal is too long", tok.pos) from None
 
 
 def parse_poly(text: str, ctx: VarContext) -> Polynomial:

@@ -11,7 +11,7 @@ full exponent tuple, with earlier-declared names larger
 (``x0 > x1 > ... > xn > parameters``). Term iteration and printing always
 follow it, so output is deterministic.
 
-Polynomials are immutable values; every operation returns a new object.
+Polynomials are immutable values: no operation modifies its operands.
 """
 
 from __future__ import annotations
@@ -122,6 +122,16 @@ class Polynomial:
         self._terms = clean
         self._lead = None
 
+    @classmethod
+    def _trusted(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Adopt ``terms`` as is: every key a monomial of the context's width,
+        every value a nonzero Fraction. Skips the checks of ``__init__``."""
+        p = object.__new__(cls)
+        p.context = context
+        p._terms = terms
+        p._lead = None
+        return p
+
     # -- inspection ------------------------------------------------------
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
@@ -190,12 +200,12 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return Polynomial(self.context, terms)
+        return Polynomial._trusted(self.context, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.context, {m: -c for m, c in self._terms.items()})
+        return Polynomial._trusted(self.context, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -211,7 +221,7 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return self.context.zero()
-            return Polynomial(self.context, {m: v * c for m, v in self._terms.items()})
+            return Polynomial._trusted(self.context, {m: v * c for m, v in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
@@ -224,7 +234,7 @@ class Polynomial:
                     acc[m] = s
                 else:
                     acc.pop(m, None)
-        return Polynomial(self.context, acc)
+        return Polynomial._trusted(self.context, acc)
 
     __rmul__ = __mul__
 
@@ -242,17 +252,22 @@ class Polynomial:
 
     def mul_term(self, m: Monomial, c) -> "Polynomial":
         """Multiply by the single term ``c * m`` (exponent-shift, no full product)."""
+        if len(m) != self.context.nvars or any(e < 0 for e in m):
+            raise InputError("monomial does not fit the variable context")
         c = Fraction(c)
         if not c:
             return self.context.zero()
-        return Polynomial(
+        return Polynomial._trusted(
             self.context,
             {tuple(a + b for a, b in zip(mm, m)): cc * c for mm, cc in self._terms.items()},
         )
 
     def monic(self) -> "Polynomial":
         _, c = self.leading_term()
-        return self * (Fraction(1) / c)
+        if c == 1:
+            return self
+        inv = 1 / c
+        return Polynomial._trusted(self.context, {m: v * inv for m, v in self._terms.items()})
 
     # -- comparison / display ---------------------------------------------
 

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from projvf import cli
+from projvf import Polynomial, cli
 from projvf.cli import run
+from projvf.parser import MAX_EXPONENT
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 with open(os.path.join(BENCH_DIR, "paper_cli_expected.json"), encoding="utf-8") as _fh:
@@ -414,5 +415,18 @@ class TestInternalErrors:
         depth = 3000
         doc = {"vars": ["x0", "x1"], "h": "(" * depth + "x0" + ")" * depth, "ideal": ["x0"]}
         code = run(["member", problem(doc)])
-        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_INTERNAL)
+        assert code == cli.EXIT_INPUT
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestParserLimits:
+    def test_exponent_over_cap_exits_2_without_expanding(self, problem, capsys, monkeypatch):
+        def expand(base, n):
+            raise AssertionError("the power was expanded")
+
+        monkeypatch.setattr(Polynomial, "__pow__", expand)
+        doc = {"vars": ["x0", "x1"], "h": f"(x0 + x1)^{MAX_EXPONENT + 1}"}
+        assert run(["smooth", problem(doc)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exponent exceeds the maximum of {MAX_EXPONENT}" in captured.err

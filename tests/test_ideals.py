@@ -9,6 +9,7 @@ from projvf import (
     Derivation,
     Ideal,
     InputError,
+    Polynomial,
     RatMatrix,
     ResourceLimitError,
     VarContext,
@@ -17,6 +18,7 @@ from projvf import (
     ideal_member,
     is_smooth_projective,
     normal_form,
+    order_key,
     parse_poly,
     partial_derivative,
     radical_member,
@@ -105,6 +107,44 @@ class TestBuchberger:
                 lt_q = q.leading_term()[0]
                 for m, _ in p.items():
                     assert not all(a <= b for a, b in zip(lt_q, m))
+
+    def test_agrees_with_sympy_reduced_basis(self):
+        sympy = pytest.importorskip("sympy")
+        for gens in differential_corpus():
+            ctx = gens[0].context
+            ours = [dict(p._terms) for p in buchberger(Ideal.spanned_by(ctx, gens)).basis]
+            assert ours == sympy_reduced_basis(sympy, gens)
+
+
+def differential_corpus():
+    """Seeded gradient ideals and random ideals in P^3 and P^4, degree 1-3."""
+    rng = random.Random(4417)
+    corpus = []
+    for ctx in (P3, P4):
+        for degree in (1, 2, 3):
+            for _ in range(4):
+                h = rand_homogeneous(rng, ctx, degree, max_terms=rng.randint(2, 6))
+                corpus.append([h] + [partial_derivative(h, v) for v in ctx.projective])
+            for _ in range(4):
+                count = rng.randint(2, 3)
+                corpus.append([rand_poly(rng, ctx, max_degree=degree, max_terms=3) for _ in range(count)])
+    return [[g for g in gens if g] for gens in corpus if any(gens)]
+
+
+def sympy_reduced_basis(sympy, gens):
+    """sympy's monic reduced grevlex basis as term dicts, leading term largest first."""
+    xs = sympy.symbols(gens[0].context.projective)
+    polys = [
+        sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator) for m, c in g.items()}, *xs, domain="QQ")
+        for g in gens
+    ]
+    rows = []
+    for p in sympy.groebner(polys, *xs, order="grevlex", domain="QQ").polys:
+        row = {m: Fraction(int(c.p), int(c.q)) for m, c in p.terms()}
+        lead = row[max(row, key=order_key)]
+        rows.append({m: c / lead for m, c in row.items()})
+    rows.sort(key=lambda row: order_key(max(row, key=order_key)), reverse=True)
+    return rows
 
 
 class TestNormalFormAndMembership:
@@ -276,6 +316,72 @@ class TestSmoothness:
         verdicts = [is_smooth_projective(h) for h in cases]
         assert 0 < sum(verdicts) < len(verdicts)
         assert verdicts == [smooth_by_sympy(sympy, h) for h in cases]
+
+
+CUBIC4 = parse_poly("x0^3 + 2*x1^3 - x2^2*x3 + x3^3 + x4^3 - x0*x1*x4 + 3*x2*x3*x4", P4)
+TWISTED = ideal_of(SMALL, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
+
+#: (computation under a step budget, exact number of budget steps it takes),
+#: recorded before reduction moved onto a mutable term dict: the engine may
+#: change its data representation but not its sequence of reduction steps
+PINNED_STEPS = [
+    pytest.param(lambda s: is_smooth_projective(FERMAT3, max_steps=s), 7, id="smooth-fermat-cubic"),
+    pytest.param(lambda s: is_smooth_projective(CAYLEY, max_steps=s), 74, id="smooth-cayley-cubic"),
+    pytest.param(lambda s: buchberger(jacobian_ideal(CUBIC4), max_steps=s), 128, id="gb-p4-gradient"),
+    pytest.param(
+        lambda s: radical_member(P4.variable("x3"), jacobian_ideal(CUBIC4), max_steps=s), 70, id="radical-p4-gradient"
+    ),
+    pytest.param(
+        lambda s: radical_member(parse_poly("x0 - x1", SMALL), TWISTED, max_steps=s), 49, id="radical-twisted"
+    ),
+]
+
+
+class TestStepSequence:
+    """The budget is spent once per reduction step, so these counts are exact."""
+
+    @pytest.mark.parametrize("compute, steps", PINNED_STEPS)
+    def test_exact_budget(self, compute, steps):
+        compute(steps)
+        with pytest.raises(ResourceLimitError):
+            compute(steps - 1)
+
+    def test_pinned_results(self):
+        assert len(buchberger(jacobian_ideal(CUBIC4)).basis) == 16
+        assert radical_member(P4.variable("x3"), jacobian_ideal(CUBIC4))
+        assert not radical_member(parse_poly("x0 - x1", SMALL), TWISTED)
+
+
+def assert_clean(p):
+    """p is exactly what the validating constructor would build from its terms."""
+    ctx = p.context
+    assert p == Polynomial(ctx, dict(p._terms))
+    for m, c in p._terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(m) == ctx.nvars and all(type(e) is int and e >= 0 for e in m)
+
+
+class TestTrustedConstruction:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_engine_results_are_clean(self, seed):
+        rng = random.Random(seed)
+        ctx = rng.choice((SMALL, P3))
+        gens = [g for g in (rand_poly(rng, ctx, max_degree=2, max_terms=3) for _ in range(3)) if g]
+        if len(gens) < 2:
+            return
+        f, g = gens[0], gens[1]
+        s = s_polynomial(f, g)
+        assert_clean(s)
+        (mf, cf), (mg, cg) = f.leading_term(), g.leading_term()
+        lcm = tuple(max(a, b) for a, b in zip(mf, mg))
+        shift = lambda m: tuple(a - b for a, b in zip(lcm, m))
+        assert s == f.mul_term(shift(mf), 1 / cf) - g.mul_term(shift(mg), 1 / cg)
+        gb = buchberger(Ideal.spanned_by(ctx, gens))
+        for p in gb.basis:
+            assert_clean(p)
+        for p in (s, rand_poly(rng, ctx, max_degree=3, max_terms=4)):
+            assert_clean(normal_form(p, gb))
 
 
 class TestZeroLocus:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projvf import ParseError, VarContext, parse_poly
+from projvf.parser import MAX_EXPONENT, MAX_NESTING
 from support import rand_poly
 
 P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
@@ -88,6 +89,30 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_poly("x0 ? x1", SMALL)
         assert err.value.position == 3
+
+
+class TestLimits:
+    def test_nesting_cap(self):
+        depth = MAX_NESTING
+        assert parse_poly("(" * depth + "x0" + ")" * depth, SMALL) == SMALL.variable("x0")
+        with pytest.raises(ParseError) as err:
+            parse_poly("(" * (depth + 1) + "x0" + ")" * (depth + 1), SMALL)
+        assert err.value.position == depth
+
+    def test_exponent_cap(self):
+        x0 = SMALL.variable("x0")
+        assert parse_poly(f"x0^{MAX_EXPONENT}", SMALL) == x0**MAX_EXPONENT
+        with pytest.raises(ParseError) as err:
+            parse_poly(f"x0^{MAX_EXPONENT + 1}", SMALL)
+        assert err.value.position == 3
+
+    def test_overlong_integer_literal(self):
+        for text in ("x0^" + "9" * 5000, "9" * 5000 + "*x0"):
+            with pytest.raises(ParseError):
+                parse_poly(text, SMALL)
+
+    def test_long_unary_minus_chain(self):
+        assert parse_poly("-" * 5001 + "x0", SMALL) == -SMALL.variable("x0")
 
 
 @given(st.integers(0, 10**9))
