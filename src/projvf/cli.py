@@ -172,7 +172,7 @@ def cmd_stabilizer(problem: ProblemFile, args):
 def cmd_zeros(problem: ProblemFile, args):
     D = _require(problem.derivation, "D")
     locus = zero_locus_ideal(D)
-    eigen = rational_eigen(RatMatrix(D.constant_entries()).transpose())
+    eigen = rational_eigen(RatMatrix(D.constant_entries()).transpose(), args.max_steps)
     payload = {
         "generators": [str(g) for g in locus.generators],
         "eigen": [
@@ -336,3 +336,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default step budget."""
+
+#: steps a bounded computation may take unless the caller sets ``max_steps``
+DEFAULT_MAX_STEPS = 1_000_000
 
 
 class ToolError(Exception):

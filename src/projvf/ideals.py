@@ -11,12 +11,20 @@ variable appended after all existing ones: f lies in the radical of I exactly
 when 1 lies in I + (1 - t*f). The extension variable never leaks into output.
 Smoothness does not use radical membership: one Groebner basis decides it.
 
-Reduction works on one mutable term dict of the running polynomial plus a
-heap of its monomials for the leading term; a step touches only the divisor's
-terms. Results are wrapped with the trusted constructor
+Inside the engine every polynomial has primitive integer coefficients:
+generators are cleared of denominators on entry, each new basis element is
+stored with its content divided out and a positive leading coefficient, and
+Fractions reappear only when the reduced basis is made monic (and in the
+one rational scale factor that :func:`normal_form` applies to its result).
+Reduction is fraction-free: to cancel a leading coefficient c with a divisor
+whose leading coefficient is l, the running polynomial is scaled by
+l/gcd(c, l). It works on one mutable term dict of the running polynomial
+plus a heap of its monomials for the leading term; a step touches only the
+divisor's terms. Results are wrapped with the trusted constructor
 (``Polynomial._trusted``), since they are clean by construction. The divisor
 is always the first basis element whose leading monomial divides the current
-leading term, so the sequence of steps is that of textbook division.
+leading term, so every remainder is a nonzero multiple of the one textbook
+division over Q gives, after the same sequence of steps.
 
 Every reduction step draws one unit from a step budget (default generous);
 exhausting it raises :class:`ResourceLimitError` rather than truncating
@@ -26,13 +34,14 @@ silently.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .derivations import Derivation
-from .errors import InputError, ResourceLimitError
+from .errors import DEFAULT_MAX_STEPS, InputError, ResourceLimitError
 from .polyring import (
     Monomial,
     Polynomial,
@@ -41,8 +50,6 @@ from .polyring import (
     order_key,
     partial_derivative,
 )
-
-DEFAULT_MAX_STEPS = 1_000_000
 
 
 class _Budget:
@@ -108,8 +115,9 @@ def _sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(sub, a, b))
 
 
-def _add_scaled(terms: dict[Monomial, Fraction], addend, shift: Monomial, q: Fraction) -> list[Monomial]:
-    """terms += q * x^shift * addend in place; returns the monomials it created."""
+def _add_scaled(terms: dict, addend, shift: Monomial, q) -> list[Monomial]:
+    """terms += q * x^shift * addend in place, over int or Fraction values;
+    returns the monomials it created."""
     created = []
     for m, c in addend:
         t = tuple(map(add, m, shift))
@@ -127,13 +135,42 @@ def _add_scaled(terms: dict[Monomial, Fraction], addend, shift: Monomial, q: Fra
     return created
 
 
+def _primitive(p: Polynomial) -> Polynomial:
+    """The primitive integer multiple of nonzero p (int or Fraction values):
+    coprime integer coefficients and a positive leading coefficient."""
+    den = math.lcm(*(c.denominator for c in p._terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in p._terms.items()}
+    content = math.gcd(*ints.values())
+    if p.leading_term()[1] < 0:
+        content = -content
+    return Polynomial._trusted(p.context, {m: c // content for m, c in ints.items()})
+
+
+def _monic(p: Polynomial) -> Polynomial:
+    """The integer polynomial p divided by its leading coefficient, over Q."""
+    lc = p.leading_term()[1]
+    return Polynomial._trusted(p.context, {m: Fraction(c, lc) for m, c in p._terms.items()})
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """u * x^a * f - v * x^b * g, where x^a lm(f) = x^b lm(g) = lcm(lm(f), lm(g))
+    and u lc(f) = v lc(g), so that the leading terms cancel.
+
+    Over Q, u = 1/lc(f) and v = 1/lc(g): the classical S-polynomial. On the
+    engine's integer polynomials, u and v are the least positive integers that
+    cancel, so the result stays integral.
+    """
     mf, cf = f.leading_term()
     mg, cg = g.leading_term()
+    if type(cf) is int:
+        d = math.gcd(cf, cg)
+        u, v = cg // d, cf // d
+    else:
+        u, v = 1 / cf, 1 / cg
     lcm = _lcm(mf, mg)
-    terms: dict[Monomial, Fraction] = {}
-    _add_scaled(terms, f._terms.items(), _sub(lcm, mf), 1 / cf)
-    _add_scaled(terms, g._terms.items(), _sub(lcm, mg), -1 / cg)
+    terms: dict = {}
+    _add_scaled(terms, f._terms.items(), _sub(lcm, mf), u)
+    _add_scaled(terms, g._terms.items(), _sub(lcm, mg), -v)
     return Polynomial._trusted(f.context, terms)
 
 
@@ -143,21 +180,26 @@ def _row(g: Polynomial) -> tuple:
     return lm, lc, [(m, c) for m, c in g._terms.items() if m != lm]
 
 
-def _reduce(f: Polynomial, rows: Sequence[tuple], budget: _Budget) -> Polynomial:
-    """Full normal form of f against the rows of nonzero polynomials.
+def _reduce(f: Polynomial, rows: Sequence[tuple], budget: _Budget) -> tuple[Polynomial, int]:
+    """Fraction-free full normal form of the integer polynomial f against the
+    rows of primitive integer polynomials.
 
-    The running polynomial is one mutable term dict; a heap of its monomials
-    (entries of cancelled terms are skipped when popped) yields its leading
-    term. Each step spends one budget unit and either cancels the leading
-    term with the first row whose leading monomial divides it, touching only
-    that row's other terms, or moves it to the remainder.
+    Returns (r, u) with r = u * NF(f) an integer polynomial and u a positive
+    integer. The running polynomial is one mutable term dict; a heap of its
+    monomials (entries of cancelled terms are skipped when popped) yields its
+    leading term c x^m. Each step spends one budget unit and either moves that
+    term to the remainder or cancels it with the first row (lm, lc, tail)
+    whose lm divides m: with d = gcd(c, lc), the running dict and the
+    remainder are scaled by lc/d when that is not 1, and -(c/d) x^(m-lm) tail
+    is added, touching only that row's other terms.
     """
     p = dict(f._terms)
     # (-degree, reversed exponents) orders monomials opposite to order_key,
     # so the min-heap pops the largest monomial first
     heap = [(-sum(m), m[::-1], m) for m in p]
     heapq.heapify(heap)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Monomial, int] = {}
+    scale = 1
     while heap:
         m = heapq.heappop(heap)[2]
         c = p.pop(m, None)
@@ -166,17 +208,27 @@ def _reduce(f: Polynomial, rows: Sequence[tuple], budget: _Budget) -> Polynomial
         budget.spend()
         for lm, lc, tail in rows:
             if all(map(le, lm, m)):
-                for t in _add_scaled(p, tail, _sub(m, lm), -c / lc):
+                d = math.gcd(c, lc)
+                u = lc // d
+                if u != 1:
+                    scale *= u
+                    p = {t: v * u for t, v in p.items()}
+                    remainder = {t: v * u for t, v in remainder.items()}
+                for t in _add_scaled(p, tail, _sub(m, lm), -(c // d)):
                     heapq.heappush(heap, (-sum(t), t[::-1], t))
                 break
         else:
             remainder[m] = c
-    return Polynomial._trusted(f.context, remainder)
+    return Polynomial._trusted(f.context, remainder), scale
 
 
 def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Budget) -> list[Polynomial]:
-    """Reduced Groebner basis of arbitrary (possibly zero) generators."""
-    basis = [g.monic() for g in generators if g]
+    """Reduced Groebner basis of arbitrary (possibly zero) generators.
+
+    The basis under construction holds primitive integer polynomials; only
+    the returned basis is over Q, made monic.
+    """
+    basis = [_primitive(g) for g in generators if g]
     if not basis:
         return []
     rows = [_row(g) for g in basis]
@@ -216,9 +268,9 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
                 break
         if skip:
             continue
-        remainder = _reduce(s_polynomial(basis[i], basis[j]), rows, budget)
+        remainder = _reduce(s_polynomial(basis[i], basis[j]), rows, budget)[0]
         if remainder:
-            basis.append(remainder.monic())
+            basis.append(_primitive(remainder))
             rows.append(_row(basis[-1]))
             new = len(basis) - 1
             for k in range(new):
@@ -241,7 +293,7 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
     reduced: list[Polynomial] = []
     for i in minimal:
         others = [rows[k] for k in minimal if k != i]
-        reduced.append(_reduce(basis[i], others, budget).monic() if others else basis[i])
+        reduced.append(_monic(_reduce(basis[i], others, budget)[0] if others else basis[i]))
     reduced.sort(key=lambda p: order_key(p.leading_term()[0]), reverse=True)
     return reduced
 
@@ -263,9 +315,13 @@ def normal_form(f: Polynomial, G: GroebnerBasis, max_steps: int = DEFAULT_MAX_ST
     """Unique remainder of multivariate division by G; zero iff f lies in the ideal."""
     if f.context != G.context:
         raise InputError("polynomial and basis belong to different variable contexts")
-    if not G.basis:
+    if not G.basis or not f:
         return f
-    return _reduce(f, [_row(g) for g in G.basis], _Budget(max_steps))
+    prim = _primitive(f)
+    r, scale = _reduce(prim, [_row(_primitive(g)) for g in G.basis], _Budget(max_steps))
+    # f = (lc(f) / lc(prim)) * prim and r = scale * NF(prim)
+    k = f.leading_term()[1] / (prim.leading_term()[1] * scale)
+    return Polynomial._trusted(f.context, {m: c * k for m, c in r._terms.items()})
 
 
 def ideal_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import DEFAULT_MAX_STEPS, InputError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,15 @@ class EigenDecomposition:
         return [p.value for p in self.pairs]
 
 
+def _spend(remaining: int, steps: int) -> int:
+    remaining -= steps
+    if remaining < 0:
+        raise ResourceLimitError("rational root search exceeded the configured step budget")
+    return remaining
+
+
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, by isqrt(|n|) trial divisions."""
     n = abs(n)
     out = set()
     d = 1
@@ -270,8 +278,13 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_roots(p: UnivariatePoly) -> tuple[list[tuple[Fraction, int]], UnivariatePoly]:
-    """All rational roots with multiplicities, plus the unfactored remainder."""
+def _rational_roots(p: UnivariatePoly, max_steps: int) -> tuple[list[tuple[Fraction, int]], UnivariatePoly]:
+    """All rational roots with multiplicities, plus the unfactored remainder.
+
+    Each trial division and each candidate root costs one step; both are
+    charged before the work starts, and a search over ``max_steps`` raises
+    :class:`ResourceLimitError`.
+    """
     q = p
     roots: list[tuple[Fraction, int]] = []
     zero_mult = 0
@@ -285,9 +298,10 @@ def _rational_roots(p: UnivariatePoly) -> tuple[list[tuple[Fraction, int]], Univ
         ints = [c * scale for c in q.coeffs]
         lead = int(ints[-1])
         const = int(ints[0])
-        candidates = sorted(
-            {Fraction(sign * num, den) for num in _divisors(const) for den in _divisors(lead) for sign in (1, -1)}
-        )
+        budget = _spend(max_steps, math.isqrt(abs(const)) + math.isqrt(abs(lead)))
+        nums, dens = _divisors(const), _divisors(lead)
+        _spend(budget, 2 * len(nums) * len(dens))
+        candidates = sorted({Fraction(sign * num, den) for num in nums for den in dens for sign in (1, -1)})
         for cand in candidates:
             mult = 0
             while q.degree >= 1 and not q(cand):
@@ -299,15 +313,16 @@ def _rational_roots(p: UnivariatePoly) -> tuple[list[tuple[Fraction, int]], Univ
     return roots, q
 
 
-def rational_eigen(M: RatMatrix) -> EigenDecomposition:
+def rational_eigen(M: RatMatrix, max_steps: int = DEFAULT_MAX_STEPS) -> EigenDecomposition:
     """Rational eigenvalues with exact eigenspaces; the rest stays as a residual factor.
 
     Roots are found with the rational-root theorem on the integer-scaled
-    characteristic polynomial (exhaustive divisor search); eigenspaces come
-    from :func:`kernel_basis` of M - lambda*I.
+    characteristic polynomial (exhaustive divisor search, within
+    ``max_steps``); eigenspaces come from :func:`kernel_basis` of
+    M - lambda*I.
     """
     p = char_poly(M)
-    roots, residual = _rational_roots(p)
+    roots, residual = _rational_roots(p, max_steps)
     pairs = []
     n = M.rows
     for value, mult in roots:

@@ -9,14 +9,16 @@ Grammar, tightest binding first:
     atom    :=  INTEGER | NAME | '(' expr ')'
 
 Implicit multiplication is rejected, exponents must be nonnegative integer
-literals of at most ``MAX_EXPONENT``, and '/' only accepts a nonzero constant
-divisor (coefficients such as 1/2). Parentheses nest at most ``MAX_NESTING``
+literals of at most ``MAX_EXPONENT``, a power may expand to at most
+``MAX_TERMS`` terms, and '/' only accepts a nonzero constant divisor
+(coefficients such as 1/2). Parentheses nest at most ``MAX_NESTING``
 deep, so the recursion stays far from Python's limit. Every error carries the
 offset of the offending character.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +31,9 @@ _SYMBOLS = "+-*/^()"
 MAX_NESTING = 50
 #: largest exponent literal accepted; the power is checked before it is expanded
 MAX_EXPONENT = 100
+#: most terms a power may expand to, bounded before expanding by the number of
+#: monomials of degree n in len(base) symbols (committed inputs reach 15)
+MAX_TERMS = 1_000
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,8 @@ class _Parser:
             n = _integer(exp)
             if n > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the maximum of {MAX_EXPONENT}", exp.pos)
+            if len(base) > 1 and math.comb(len(base) + n - 1, n) > MAX_TERMS:
+                raise ParseError(f"power may expand to more than {MAX_TERMS} terms", caret.pos)
             return base**n
         return base
 

@@ -1,13 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from projvf import Polynomial, cli
 from projvf.cli import run
-from projvf.parser import MAX_EXPONENT
+from projvf.parser import MAX_EXPONENT, MAX_TERMS
 
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.join(ROOT, "bench")
 with open(os.path.join(BENCH_DIR, "paper_cli_expected.json"), encoding="utf-8") as _fh:
     RECORDED = json.load(_fh)["cases"]
 
@@ -430,3 +433,53 @@ class TestParserLimits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"exponent exceeds the maximum of {MAX_EXPONENT}" in captured.err
+
+    def test_term_count_over_cap_exits_2_without_expanding(self, problem, capsys, monkeypatch):
+        def expand(base, n):
+            raise AssertionError("the power was expanded")
+
+        monkeypatch.setattr(Polynomial, "__pow__", expand)
+        doc = {"vars": ["x0", "x1", "x2", "x3", "x4"], "h": "(x0 + x1 + x2 + x3 + x4)^16"}
+        assert run(["smooth", problem(doc)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"power may expand to more than {MAX_TERMS} terms" in captured.err
+
+
+class TestRootSearchBudget:
+    def test_huge_constant_term_exits_3(self, problem, capsys):
+        a0 = (10**15 + 37) * (10**3 + 9)
+        doc = {"vars": ["x0", "x1"], "D": [["0", "1"], [str(-a0), "0"]]}
+        assert run(["zeros", problem(doc)]) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rational root search exceeded the configured step budget\n"
+
+    def test_max_steps_reaches_the_search(self, problem):
+        doc = {"vars": ["x0", "x1"], "D": [["0", "1"], ["-36", "0"]]}
+        assert run(["zeros", problem(doc)]) == cli.EXIT_OK
+        assert run(["zeros", "--max-steps", "10", problem(doc)]) == cli.EXIT_RESOURCE
+
+
+class TestModuleEntryPoint:
+    """`python -m projvf.cli` behaves like the `projvf` script."""
+
+    def run_module(self, *argv):
+        env = dict(os.environ, NO_COLOR="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "projvf.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_input_error_exits_2(self, problem):
+        done = self.run_module("smooth", problem({"vars": ["x0", "x1"], "h": f"(x0 + x1)^{MAX_EXPONENT + 1}"}))
+        assert done.returncode == cli.EXIT_INPUT
+        assert done.stdout == ""
+        assert "exponent exceeds the maximum" in done.stderr
+
+    def test_verify_paper_matches_run(self, capsys, monkeypatch):
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert run(["verify-paper"]) == cli.EXIT_OK
+        done = self.run_module("verify-paper")
+        assert done.returncode == cli.EXIT_OK
+        assert done.stdout == capsys.readouterr().out

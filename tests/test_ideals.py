@@ -115,6 +115,13 @@ class TestBuchberger:
             ours = [dict(p._terms) for p in buchberger(Ideal.spanned_by(ctx, gens)).basis]
             assert ours == sympy_reduced_basis(sympy, gens)
 
+    def test_agrees_with_sympy_on_large_coefficients(self):
+        sympy = pytest.importorskip("sympy")
+        for gens in coefficient_corpus():
+            ctx = gens[0].context
+            ours = [dict(p._terms) for p in buchberger(Ideal.spanned_by(ctx, gens)).basis]
+            assert ours == sympy_reduced_basis(sympy, gens)
+
 
 def differential_corpus():
     """Seeded gradient ideals and random ideals in P^3 and P^4, degree 1-3."""
@@ -129,6 +136,35 @@ def differential_corpus():
                 count = rng.randint(2, 3)
                 corpus.append([rand_poly(rng, ctx, max_degree=degree, max_terms=3) for _ in range(count)])
     return [[g for g in gens if g] for gens in corpus if any(gens)]
+
+
+def big_coefficient(rng, kind):
+    """A nonzero coefficient: an integer up to 10^12, or a fraction with a denominator up to 10^12."""
+    num = 0
+    while not num:
+        num = rng.randint(-(10**12), 10**12) if kind == "int" else rng.randint(-(10**6), 10**6)
+    return Fraction(num, 1 if kind == "int" else rng.randint(1, 10**12))
+
+
+def coefficient_corpus():
+    """Seeded P^3/P^4 ideals with large integer or rational coefficients, each
+    generator with a negative leading coefficient: gradient ideals of
+    homogeneous polynomials and pairs of homogeneous polynomials."""
+    rng = random.Random(9021)
+
+    def big(shape):
+        g = Polynomial(shape.context, {m: big_coefficient(rng, kind) for m in shape.monomials()})
+        return g if g.leading_term()[1] < 0 else -g
+
+    corpus = []
+    for ctx in (P3, P4):
+        for degree in (2, 3):
+            for kind in ("int", "rat") * 2:
+                h = big(rand_homogeneous(rng, ctx, degree, max_terms=rng.randint(3, 6)))
+                corpus.append([big(g) for g in [h] + [partial_derivative(h, v) for v in ctx.projective] if g])
+                pair = [rand_homogeneous(rng, ctx, rng.randint(1, degree), max_terms=3) for _ in range(2)]
+                corpus.append([big(g) for g in pair if g])
+    return [gens for gens in corpus if gens]
 
 
 def sympy_reduced_basis(sympy, gens):
@@ -188,6 +224,28 @@ class TestNormalFormAndMembership:
             else:
                 f = rand_poly(rng, ctx, max_degree=3, max_terms=3)
             assert ideal_member(f, ideal) == brute_force_member(f, gens)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=25, deadline=None)
+    def test_scaled_input_against_linear_algebra_oracle(self, seed):
+        """Input with integer content >= 2 and a negative leading coefficient:
+        f - NF(f) lies in the ideal and no term of NF(f) is divisible by a
+        leading monomial of the basis, which pins NF(f) down; NF is linear."""
+        rng = random.Random(seed)
+        ctx = SMALL
+        gens = [g for g in (rand_poly(rng, ctx, max_degree=2, max_terms=3) for _ in range(2)) if g]
+        gens = gens or [ctx.variable("x0")]
+        gb = buchberger(Ideal.spanned_by(ctx, gens))
+        shape = rand_poly(rng, ctx, max_degree=3, max_terms=4) or ctx.variable("x1")
+        content = rng.randint(2, 30)
+        f = Polynomial(ctx, {m: content * rng.choice((-1, 1)) * rng.randint(1, 20) for m in shape.monomials()})
+        f = f if f.leading_term()[1] < 0 else -f
+        r = normal_form(f, gb)
+        assert_clean(r)
+        assert brute_force_member(f - r, gens)
+        leads = [g.leading_term()[0] for g in gb.basis]
+        assert not any(all(a <= b for a, b in zip(lm, m)) for m in r.monomials() for lm in leads)
+        assert normal_form(f * Fraction(-5, 7), gb) == r * Fraction(-5, 7)
 
 
 class TestRadicalMembership:

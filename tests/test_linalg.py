@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from projvf import (
     InputError,
     RatMatrix,
+    ResourceLimitError,
     UnivariatePoly,
     char_poly,
     kernel_basis,
@@ -145,6 +146,78 @@ class TestRationalEigen:
             for _ in range(pair.multiplicity):
                 product = product * linear
         assert product == char_poly(M)
+
+    def test_root_search_runs_under_the_step_budget(self):
+        a0 = (10**15 + 37) * (10**3 + 9)
+        with pytest.raises(ResourceLimitError):
+            rational_eigen(RatMatrix([[0, 1], [-a0, 0]]))
+        # t^2 + 36: isqrt(36) + isqrt(1) = 7 trial divisions, 2 * 9 * 1 = 18 candidates
+        M = RatMatrix([[0, 1], [-36, 0]])
+        assert rational_eigen(M, max_steps=25).residual == UnivariatePoly.of([36, 0, 1])
+        with pytest.raises(ResourceLimitError):
+            rational_eigen(M, max_steps=24)
+
+    def test_agrees_with_sympy_eigenvects(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for M in planted_corpus(sympy):
+            eigen = rational_eigen(RatMatrix([[Fraction(int(x.p), int(x.q)) for x in row] for row in M.tolist()]))
+            found = M.eigenvects()
+            rational = [(value, mult, vecs) for value, mult, vecs in found if value.is_Rational]
+            assert {p.value: (p.multiplicity, len(p.space)) for p in eigen.pairs} == {
+                Fraction(int(value.p), int(value.q)): (mult, len(vecs)) for value, mult, vecs in rational
+            }
+            for pair in eigen.pairs:
+                vecs = next(vecs for value, _, vecs in rational if value == sympy.Rational(pair.value))
+                ours = sympy.Matrix([[sympy.Rational(x) for x in v] for v in pair.space])
+                assert ours.rank() == sympy.Matrix.vstack(ours, *(v.T for v in vecs)).rank() == len(vecs)
+            # the residual is exactly the product of (t - value)^mult over the other eigenvalues
+            residual = sum(sympy.Rational(c) * t**k for k, c in enumerate(eigen.residual.coeffs))
+            others = [(value, mult) for value, mult, _ in found if not value.is_Rational]
+            assert eigen.residual.coeffs[-1] == 1
+            assert eigen.residual.degree == sum(mult for _, mult in others)
+            for value, mult in others:
+                for k in range(mult):
+                    assert sympy.expand(sympy.diff(residual, t, k).subs(t, value)) == 0
+
+
+#: monic irreducible factors over Q of degree 2 and 3, ascending coefficients
+IRREDUCIBLE = ([-2, 0, 1], [1, 0, 1], [1, 1, 1], [-3, 0, 1], [-2, 0, 0, 1])
+
+
+def planted_corpus(sympy):
+    """Seeded 3x3 to 6x6 matrices S J S^-1: S an integer matrix of determinant 1,
+    J block diagonal with rational Jordan blocks of size 1-2 and, in half the
+    cases, the companion block of an irreducible factor (irrational residual)."""
+    rng = random.Random(5150)
+    corpus = []
+    for n in (3, 4, 5, 6):
+        for case in range(6):
+            blocks = []
+            if case % 2:
+                factor = rng.choice([f for f in IRREDUCIBLE if len(f) <= n])
+                d = len(factor) - 1
+                companion = sympy.zeros(d, d)
+                for i in range(1, d):
+                    companion[i, i - 1] = 1
+                for i in range(d):
+                    companion[i, d - 1] = -factor[i]
+                blocks.append(companion)
+            size = sum(b.rows for b in blocks)
+            values = [rng.choice((-2, -1, 0, 1, 3, sympy.Rational(1, 2), sympy.Rational(-3, 2))) for _ in range(2)]
+            while size < n:
+                k = min(rng.randint(1, 2), n - size)
+                jordan = sympy.eye(k) * rng.choice(values)
+                if k == 2:
+                    jordan[0, 1] = 1
+                blocks.append(jordan)
+                size += k
+            S = sympy.eye(n)
+            for _ in range(2 * n):
+                i, j = rng.sample(range(n), 2)
+                S[i, :] = S[i, :] + rng.choice((-2, -1, 1, 2)) * S[j, :]
+            corpus.append(S * sympy.diag(*blocks) * S.inv())
+    return corpus
 
 
 class TestUnivariate:

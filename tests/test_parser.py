@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projvf import ParseError, VarContext, parse_poly
+from projvf import ParseError, VarContext, parse_poly, parser
 from projvf.parser import MAX_EXPONENT, MAX_NESTING
 from support import rand_poly
 
@@ -105,6 +105,19 @@ class TestLimits:
         with pytest.raises(ParseError) as err:
             parse_poly(f"x0^{MAX_EXPONENT + 1}", SMALL)
         assert err.value.position == 3
+
+    def test_term_count_cap(self, monkeypatch):
+        # (x0 + x1 + x2 + x3)^2 has exactly comb(5, 2) = 10 terms
+        monkeypatch.setattr(parser, "MAX_TERMS", 10)
+        assert len(parse_poly("(x0 + x1 + x2 + x3)^2", P4)) == 10
+        monkeypatch.setattr(parser, "MAX_TERMS", 9)
+        with pytest.raises(ParseError) as err:
+            parse_poly("(x0 + x1 + x2 + x3)^2", P4)
+        assert err.value.position == 19
+        # one term and the zero polynomial stay within any cap
+        power = parse_poly(f"(2*x0*x1)^{MAX_EXPONENT}", P4)
+        assert power == P4.variable("x0") ** MAX_EXPONENT * P4.variable("x1") ** MAX_EXPONENT * 2**MAX_EXPONENT
+        assert parse_poly("(x0 - x0)^0", P4) == 1
 
     def test_overlong_integer_literal(self):
         for text in ("x0^" + "9" * 5000, "9" * 5000 + "*x0"):
