@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-steps",
             type=int,
             default=DEFAULT_MAX_STEPS,
-            help="reduction-step budget for Groebner computations",
+            help="step budget for Groebner reductions and the rational-root search of zeros",
         )
         p.set_defaults(fn=fn)
         return p

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InputError
 from .polyring import (
@@ -25,7 +25,9 @@ from .polyring import (
     monomials_of_degree,
 )
 
-Entry = Union[Polynomial, Fraction, int]
+#: a matrix entry; kept a string, because an evaluated typing.Union is cached by
+#: the typing module and would keep this module alive after it is unloaded
+Entry = "Polynomial | Fraction | int"
 
 
 def _coerce_entry(ctx: VarContext, value: Entry) -> Polynomial:

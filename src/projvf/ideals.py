@@ -11,20 +11,28 @@ variable appended after all existing ones: f lies in the radical of I exactly
 when 1 lies in I + (1 - t*f). The extension variable never leaks into output.
 Smoothness does not use radical membership: one Groebner basis decides it.
 
-Inside the engine every polynomial has primitive integer coefficients:
-generators are cleared of denominators on entry, each new basis element is
-stored with its content divided out and a positive leading coefficient, and
-Fractions reappear only when the reduced basis is made monic (and in the
-one rational scale factor that :func:`normal_form` applies to its result).
-Reduction is fraction-free: to cancel a leading coefficient c with a divisor
-whose leading coefficient is l, the running polynomial is scaled by
-l/gcd(c, l). It works on one mutable term dict of the running polynomial
-plus a heap of its monomials for the leading term; a step touches only the
-divisor's terms. Results are wrapped with the trusted constructor
-(``Polynomial._trusted``), since they are clean by construction. The divisor
-is always the first basis element whose leading monomial divides the current
-leading term, so every remainder is a nonzero multiple of the one textbook
-division over Q gives, after the same sequence of steps.
+Inside the engine a polynomial is a term dict keyed by packed monomials:
+one int per exponent vector, built so that integer order is the global
+order, integer addition multiplies monomials and one mask test decides
+divisibility (see :class:`_Packing`). The field width comes from the input:
+a Groebner computation starts with room for twice the largest generator
+degree, the degree of any pair's lcm, and widens the packing (re-encoding
+its rows and pair queue between reductions) when a new basis element needs
+more; a normal form gets room for the largest degree of f and the basis.
+Only the returned basis or remainder is unpacked.
+
+Coefficients are primitive integers: generators are cleared of denominators
+on entry, each new basis element is stored with its content divided out and
+a positive leading coefficient, and Fractions reappear only when the reduced
+basis is made monic (and in the one rational scale factor that
+:func:`normal_form` applies to its result). Reduction is fraction-free: to
+cancel a leading coefficient c with a divisor whose leading coefficient is l,
+the running polynomial is scaled by l/gcd(c, l). It works on one mutable term
+dict of the running polynomial plus a heap of its monomials for the leading
+term; a step touches only the divisor's terms. The divisor is always the
+first basis element whose leading monomial divides the current leading term,
+so every remainder is a nonzero multiple of the one textbook division over Q
+gives, after the same sequence of steps.
 
 Every reduction step draws one unit from a step budget (default generous);
 exhausting it raises :class:`ResourceLimitError` rather than truncating
@@ -37,7 +45,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import sub
 from typing import Iterable, Sequence
 
 from .derivations import Derivation
@@ -47,7 +55,6 @@ from .polyring import (
     Polynomial,
     VarContext,
     homogeneous_degree,
-    order_key,
     partial_derivative,
 )
 
@@ -99,28 +106,62 @@ class GroebnerBasis:
         return len(self.basis) == 1 and self.basis[0] == self.context.one()
 
 
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
+#: narrowest variable field of a packing, so that a computation whose degrees
+#: stay below 64 never widens its packing
+_MIN_FIELD_BITS = 8
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
+class _Packing:
+    """Exponent vectors of ``nvars`` variables packed into one int each.
+
+    The top field holds the total degree. Below it, one ``bits``-wide field
+    per variable holds ``room - e_i``, the last variable most significant, so
+    the integer order is the global order (:func:`order_key`). With ``room =
+    2^(bits-1) - 1`` and every exponent at most ``room``, each field stays
+    below ``2^bits``: a monomial product is ``a + b - zero`` (the product's
+    exponents at most ``room`` too), and a divides b exactly when
+    ``(b - a + zero) & mask`` is 0, because a field of ``b - a + zero`` holds
+    ``room + e_i(a) - e_i(b)``, whose top bit (in ``mask``) is set exactly
+    when e_i(a) > e_i(b).
+    """
+
+    __slots__ = ("nvars", "bits", "room", "zero", "mask")
+
+    def __init__(self, nvars: int, room: int):
+        self.nvars = nvars
+        self.bits = max(_MIN_FIELD_BITS, room.bit_length() + 1)
+        self.room = (1 << (self.bits - 1)) - 1
+        self.zero = sum(self.room << (i * self.bits) for i in range(nvars))
+        self.mask = sum(1 << ((i + 1) * self.bits - 1) for i in range(nvars))
+
+    def pack(self, m: Monomial) -> int:
+        k = sum(m)
+        for e in reversed(m):
+            k = (k << self.bits) | (self.room - e)
+        return k
+
+    def unpack(self, k: int) -> Monomial:
+        field = (1 << self.bits) - 1
+        exps = []
+        for _ in range(self.nvars):
+            exps.append(self.room - (k & field))
+            k >>= self.bits
+        return tuple(exps)
+
+    def terms(self, p: Polynomial) -> dict:
+        return {self.pack(m): c for m, c in p._terms.items()}
 
 
-def _coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _degree(p: Polynomial) -> int:
+    return sum(p.leading_term()[0])
 
 
-def _sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
-
-
-def _add_scaled(terms: dict, addend, shift: Monomial, q) -> list[Monomial]:
-    """terms += q * x^shift * addend in place, over int or Fraction values;
-    returns the monomials it created."""
+def _add_scaled(terms: dict, addend, shift: int, q: int) -> list[int]:
+    """terms += q * x^shift * addend in place, on packed monomials (a term t
+    of addend lands on t + shift); returns the monomials it created."""
     created = []
-    for m, c in addend:
-        t = tuple(map(add, m, shift))
+    for t, c in addend:
+        t += shift
         d = c * q
         v = terms.get(t)
         if v is None:
@@ -135,131 +176,134 @@ def _add_scaled(terms: dict, addend, shift: Monomial, q) -> list[Monomial]:
     return created
 
 
-def _primitive(p: Polynomial) -> Polynomial:
-    """The primitive integer multiple of nonzero p (int or Fraction values):
-    coprime integer coefficients and a positive leading coefficient."""
-    den = math.lcm(*(c.denominator for c in p._terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in p._terms.items()}
+def _primitive(terms: dict) -> dict:
+    """The primitive integer multiple of the nonzero packed term dict (int or
+    Fraction values): coprime integer coefficients and a positive leading
+    coefficient."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
     content = math.gcd(*ints.values())
-    if p.leading_term()[1] < 0:
+    if ints[max(ints)] < 0:
         content = -content
-    return Polynomial._trusted(p.context, {m: c // content for m, c in ints.items()})
+    return {m: c // content for m, c in ints.items()}
 
 
-def _monic(p: Polynomial) -> Polynomial:
-    """The integer polynomial p divided by its leading coefficient, over Q."""
-    lc = p.leading_term()[1]
-    return Polynomial._trusted(p.context, {m: Fraction(c, lc) for m, c in p._terms.items()})
+def _row(terms: dict) -> tuple:
+    """The reduction row of a packed term dict: leading monomial, leading
+    coefficient, other terms."""
+    lm = max(terms)
+    return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
+
+
+def _monic(terms: dict, packing: _Packing, context: VarContext) -> Polynomial:
+    """The packed integer term dict divided by its leading coefficient, over Q."""
+    lc = terms[max(terms)]
+    return Polynomial._trusted(context, {packing.unpack(m): Fraction(c, lc) for m, c in terms.items()})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """u * x^a * f - v * x^b * g, where x^a lm(f) = x^b lm(g) = lcm(lm(f), lm(g))
-    and u lc(f) = v lc(g), so that the leading terms cancel.
-
-    Over Q, u = 1/lc(f) and v = 1/lc(g): the classical S-polynomial. On the
-    engine's integer polynomials, u and v are the least positive integers that
-    cancel, so the result stays integral.
-    """
+    """x^a f / lc(f) - x^b g / lc(g), where x^a lm(f) = x^b lm(g) =
+    lcm(lm(f), lm(g)), so that the leading terms cancel."""
     mf, cf = f.leading_term()
     mg, cg = g.leading_term()
-    if type(cf) is int:
-        d = math.gcd(cf, cg)
-        u, v = cg // d, cf // d
-    else:
-        u, v = 1 / cf, 1 / cg
-    lcm = _lcm(mf, mg)
+    lcm = tuple(map(max, mf, mg))
+    return f.mul_term(tuple(map(sub, lcm, mf)), 1 / cf) - g.mul_term(tuple(map(sub, lcm, mg)), 1 / cg)
+
+
+def _s_pair(first: tuple, second: tuple, lcm: int) -> dict:
+    """The S-polynomial of two rows with packed leading-monomial lcm, scaled by
+    the least positive integers that cancel the leading terms, so that it
+    stays integral."""
+    lm1, lc1, tail1 = first
+    lm2, lc2, tail2 = second
+    d = math.gcd(lc1, lc2)
     terms: dict = {}
-    _add_scaled(terms, f._terms.items(), _sub(lcm, mf), u)
-    _add_scaled(terms, g._terms.items(), _sub(lcm, mg), -v)
-    return Polynomial._trusted(f.context, terms)
+    _add_scaled(terms, tail1, lcm - lm1, lc2 // d)
+    _add_scaled(terms, tail2, lcm - lm2, -(lc1 // d))
+    return terms
 
 
-def _row(g: Polynomial) -> tuple:
-    """The reduction row of g: leading monomial, leading coefficient, other terms."""
-    lm, lc = g.leading_term()
-    return lm, lc, [(m, c) for m, c in g._terms.items() if m != lm]
+def _reduce(p: dict, rows: Sequence[tuple], budget: _Budget, packing: _Packing) -> tuple[dict, int]:
+    """Fraction-free full normal form of the packed integer term dict p, which
+    it consumes, against the rows of primitive integer polynomials.
 
-
-def _reduce(f: Polynomial, rows: Sequence[tuple], budget: _Budget) -> tuple[Polynomial, int]:
-    """Fraction-free full normal form of the integer polynomial f against the
-    rows of primitive integer polynomials.
-
-    Returns (r, u) with r = u * NF(f) an integer polynomial and u a positive
-    integer. The running polynomial is one mutable term dict; a heap of its
-    monomials (entries of cancelled terms are skipped when popped) yields its
-    leading term c x^m. Each step spends one budget unit and either moves that
-    term to the remainder or cancels it with the first row (lm, lc, tail)
-    whose lm divides m: with d = gcd(c, lc), the running dict and the
-    remainder are scaled by lc/d when that is not 1, and -(c/d) x^(m-lm) tail
-    is added, touching only that row's other terms.
+    Returns (r, u) with r = u * NF(p) a packed integer term dict and u a
+    positive integer. A heap of p's monomials (entries of cancelled terms are
+    skipped when popped) yields its leading term c x^m. Each step spends one
+    budget unit and either moves that term to the remainder or cancels it
+    with the first row (lm, lc, tail) whose lm divides m: with d = gcd(c, lc),
+    p and the remainder are scaled by lc/d when that is not 1, and
+    -(c/d) x^(m-lm) tail is added, touching only that row's other terms.
+    Every monomial involved has degree at most that of p's leading monomial,
+    which the packing must have room for.
     """
-    p = dict(f._terms)
-    # (-degree, reversed exponents) orders monomials opposite to order_key,
-    # so the min-heap pops the largest monomial first
-    heap = [(-sum(m), m[::-1], m) for m in p]
+    zero, mask = packing.zero, packing.mask
+    # negated, so that the min-heap pops the largest monomial first
+    heap = [-m for m in p]
     heapq.heapify(heap)
-    remainder: dict[Monomial, int] = {}
+    remainder: dict[int, int] = {}
     scale = 1
     while heap:
-        m = heapq.heappop(heap)[2]
+        m = -heapq.heappop(heap)
         c = p.pop(m, None)
         if c is None:
             continue
         budget.spend()
+        mz = m + zero
         for lm, lc, tail in rows:
-            if all(map(le, lm, m)):
+            if not (mz - lm) & mask:
                 d = math.gcd(c, lc)
                 u = lc // d
                 if u != 1:
                     scale *= u
                     p = {t: v * u for t, v in p.items()}
                     remainder = {t: v * u for t, v in remainder.items()}
-                for t in _add_scaled(p, tail, _sub(m, lm), -(c // d)):
-                    heapq.heappush(heap, (-sum(t), t[::-1], t))
+                for t in _add_scaled(p, tail, m - lm, -(c // d)):
+                    heapq.heappush(heap, -t)
                 break
         else:
             remainder[m] = c
-    return Polynomial._trusted(f.context, remainder), scale
+    return remainder, scale
 
 
 def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Budget) -> list[Polynomial]:
     """Reduced Groebner basis of arbitrary (possibly zero) generators.
 
-    The basis under construction holds primitive integer polynomials; only
-    the returned basis is over Q, made monic.
+    The basis under construction holds rows of primitive integer polynomials
+    on packed monomials; only the returned basis is over Q, made monic. The
+    packing has room for twice the largest leading degree, the degree of any
+    pair's lcm, and is widened between reductions when a new basis element
+    needs more.
     """
-    basis = [_primitive(g) for g in generators if g]
-    if not basis:
+    gens = [g for g in generators if g]
+    if not gens:
         return []
-    rows = [_row(g) for g in basis]
+    pk = _Packing(context.nvars, 2 * max(map(_degree, gens)))
+    rows = [_row(_primitive(pk.terms(g))) for g in gens]
+    leads = [pk.unpack(lm) for lm, _, _ in rows]
 
-    heap: list[tuple[int, tuple, int, int]] = []
+    heap: list[tuple[int, int, int]] = []
     pending: set[tuple[int, int]] = set()
 
     def push(i: int, j: int):
-        lcm = _lcm(rows[i][0], rows[j][0])
-        heapq.heappush(heap, (sum(lcm), order_key(lcm), i, j))
+        heapq.heappush(heap, (pk.pack(tuple(map(max, leads[i], leads[j]))), i, j))
         pending.add((i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(rows)):
         for i in range(j):
             push(i, j)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        lti = rows[i][0]
-        ltj = rows[j][0]
-        if _coprime(lti, ltj):
+        lcm_z, mask = lcm + pk.zero, pk.mask
+        if lcm_z == rows[i][0] + rows[j][0]:  # coprime leading monomials
             continue
-        lcm = _lcm(lti, ltj)
         skip = False
         for k, (ltk, _, _) in enumerate(rows):
-            if k in (i, j):
-                continue
-            if not _divides(ltk, lcm):
+            if (lcm_z - ltk) & mask or k == i or k == j:
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -268,34 +312,50 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
                 break
         if skip:
             continue
-        remainder = _reduce(s_polynomial(basis[i], basis[j]), rows, budget)[0]
+        remainder = _reduce(_s_pair(rows[i], rows[j], lcm), rows, budget, pk)[0]
         if remainder:
-            basis.append(_primitive(remainder))
-            rows.append(_row(basis[-1]))
-            new = len(basis) - 1
+            terms = _primitive(remainder)
+            lead = pk.unpack(max(terms))
+            if 2 * sum(lead) > pk.room:
+                old, pk = pk, _Packing(context.nvars, 2 * sum(lead))
+
+                def move(k: int) -> int:
+                    return pk.pack(old.unpack(k))
+
+                rows = [(move(lm), lc, [(move(t), c) for t, c in tail]) for lm, lc, tail in rows]
+                heap = [(move(key), a, b) for key, a, b in heap]
+                heapq.heapify(heap)
+                terms = {move(m): c for m, c in terms.items()}
+            rows.append(_row(terms))
+            leads.append(lead)
+            new = len(rows) - 1
             for k in range(new):
                 push(k, new)
 
     # minimalise: drop elements whose leading term another element divides
+    zero, mask = pk.zero, pk.mask
     minimal: list[int] = []
     for i, (lt, _, _) in enumerate(rows):
         redundant = False
         for k, (lo, _, _) in enumerate(rows):
             if k == i:
                 continue
-            if _divides(lo, lt) and (lo != lt or k < i):
+            if not (lt + zero - lo) & mask and (lo != lt or k < i):
                 redundant = True
                 break
         if not redundant:
             minimal.append(i)
 
     # inter-reduce tails for the unique reduced basis
-    reduced: list[Polynomial] = []
+    reduced: list[dict] = []
     for i in minimal:
+        lm, lc, tail = rows[i]
+        terms = dict(tail)
+        terms[lm] = lc
         others = [rows[k] for k in minimal if k != i]
-        reduced.append(_monic(_reduce(basis[i], others, budget)[0] if others else basis[i]))
-    reduced.sort(key=lambda p: order_key(p.leading_term()[0]), reverse=True)
-    return reduced
+        reduced.append(_reduce(terms, others, budget, pk)[0] if others else terms)
+    reduced.sort(key=max, reverse=True)
+    return [_monic(terms, pk, context) for terms in reduced]
 
 
 def _require_parameter_free(polys: Iterable[Polynomial], what: str):
@@ -317,11 +377,13 @@ def normal_form(f: Polynomial, G: GroebnerBasis, max_steps: int = DEFAULT_MAX_ST
         raise InputError("polynomial and basis belong to different variable contexts")
     if not G.basis or not f:
         return f
-    prim = _primitive(f)
-    r, scale = _reduce(prim, [_row(_primitive(g)) for g in G.basis], _Budget(max_steps))
+    pk = _Packing(f.context.nvars, max(map(_degree, (f, *G.basis))))
+    prim = _primitive(pk.terms(f))
     # f = (lc(f) / lc(prim)) * prim and r = scale * NF(prim)
-    k = f.leading_term()[1] / (prim.leading_term()[1] * scale)
-    return Polynomial._trusted(f.context, {m: c * k for m, c in r._terms.items()})
+    k = f.leading_term()[1] / prim[max(prim)]
+    r, scale = _reduce(prim, [_row(_primitive(pk.terms(g))) for g in G.basis], _Budget(max_steps), pk)
+    k /= scale
+    return Polynomial._trusted(f.context, {pk.unpack(m): c * k for m, c in r.items()})
 
 
 def ideal_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> bool:

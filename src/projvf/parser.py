@@ -9,8 +9,9 @@ Grammar, tightest binding first:
     atom    :=  INTEGER | NAME | '(' expr ')'
 
 Implicit multiplication is rejected, exponents must be nonnegative integer
-literals of at most ``MAX_EXPONENT``, a power may expand to at most
-``MAX_TERMS`` terms, and '/' only accepts a nonzero constant divisor
+literals of at most ``MAX_EXPONENT``, a power or a product may expand to at
+most ``MAX_TERMS`` terms, no coefficient may exceed ``MAX_COEFFICIENT_BITS``
+bits, and '/' only accepts a nonzero constant divisor
 (coefficients such as 1/2). Parentheses nest at most ``MAX_NESTING``
 deep, so the recursion stays far from Python's limit. Every error carries the
 offset of the offending character.
@@ -31,9 +32,17 @@ _SYMBOLS = "+-*/^()"
 MAX_NESTING = 50
 #: largest exponent literal accepted; the power is checked before it is expanded
 MAX_EXPONENT = 100
-#: most terms a power may expand to, bounded before expanding by the number of
-#: monomials of degree n in len(base) symbols (committed inputs reach 15)
+#: most terms a power or a product may expand to, bounded before expanding: a
+#: power by the number of monomials of degree n in len(base) symbols, a
+#: product by len(a) * len(b) (committed inputs reach 15)
 MAX_TERMS = 1_000
+#: most bits in a numerator or denominator of a parsed polynomial. Powers and
+#: products are bounded before expanding, by n * bits(base) and bits(a) +
+#: bits(b), since nested powers of constants would otherwise grow coefficients
+#: exponentially in the text length; the result is checked once more. The
+#: bound keeps every coefficient inside the 4,300 decimal digits that str()
+#: converts (about 14,000 bits)
+MAX_COEFFICIENT_BITS = 10_000
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,10 @@ class _Parser:
             op = self.advance()
             rhs = self.unary()
             if op.kind == "*":
+                if len(value) * len(rhs) > MAX_TERMS:
+                    raise ParseError(f"product may expand to more than {MAX_TERMS} terms", op.pos)
+                if _coefficient_bits(value) + _coefficient_bits(rhs) > MAX_COEFFICIENT_BITS:
+                    raise ParseError(f"product may build coefficients over {MAX_COEFFICIENT_BITS} bits", op.pos)
                 value = value * rhs
             else:
                 if not rhs.is_constant():
@@ -137,6 +150,8 @@ class _Parser:
                 raise ParseError(f"exponent exceeds the maximum of {MAX_EXPONENT}", exp.pos)
             if len(base) > 1 and math.comb(len(base) + n - 1, n) > MAX_TERMS:
                 raise ParseError(f"power may expand to more than {MAX_TERMS} terms", caret.pos)
+            if _coefficient_bits(base) * n > MAX_COEFFICIENT_BITS:
+                raise ParseError(f"power may build coefficients over {MAX_COEFFICIENT_BITS} bits", caret.pos)
             return base**n
         return base
 
@@ -163,6 +178,11 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
 
+def _coefficient_bits(p: Polynomial) -> int:
+    """Bits in p's largest numerator or denominator (0 for the zero polynomial)."""
+    return max((max(abs(c.numerator), c.denominator) for c in p._terms.values()), default=0).bit_length()
+
+
 def _integer(tok: Token) -> int:
     try:
         return int(tok.text)
@@ -177,4 +197,7 @@ def parse_poly(text: str, ctx: VarContext) -> Polynomial:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
+    # sums and divisions grow coefficients at most linearly in the text length
+    if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
+        raise ParseError(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits", 0)
     return value

@@ -125,10 +125,7 @@ class Polynomial:
     @classmethod
     def _trusted(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> "Polynomial":
         """Adopt ``terms`` as is: every key a monomial of the context's width,
-        every value a nonzero Fraction. Skips the checks of ``__init__``.
-
-        The Groebner engine (:mod:`projvf.ideals`) also wraps nonzero int
-        values this way; those polynomials never leave it."""
+        every value a nonzero Fraction. Skips the checks of ``__init__``."""
         p = object.__new__(cls)
         p.context = context
         p._terms = terms

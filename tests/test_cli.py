@@ -446,6 +446,37 @@ class TestParserLimits:
         assert f"power may expand to more than {MAX_TERMS} terms" in captured.err
 
 
+    def test_product_over_cap_exits_2_without_multiplying(self, problem, capsys, monkeypatch):
+        def multiply(a, b):
+            raise AssertionError("the product was expanded")
+
+        monkeypatch.setattr(Polynomial, "__mul__", multiply)
+        params = [f"a{i}" for i in range(40)]
+        base = "(" + " + ".join(params) + ")"
+        doc = {"vars": ["x0", "x1"], "params": params, "h": f"{base}*{base}"}
+        assert run(["smooth", problem(doc)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"product may expand to more than {MAX_TERMS} terms (at position {len(base)})" in captured.err
+
+    @pytest.mark.parametrize("command", ["gb", "cone-shape", "stabilizer"])
+    def test_coefficient_too_long_to_print_exits_2(self, command, problem, capsys):
+        # once a crash (exit 4): str() of the 6,000-digit coefficient raised ValueError
+        coefficient = "(2^100)^100*(2^100)^100"
+        doc = {
+            "vars": ["x0", "x1", "x2", "x3", "x4"],
+            "h": f"{coefficient}*x4*x0 + x1^2",
+            "ideal": [f"{coefficient}*x0 + x1"],
+        }
+        assert run([command, problem(doc)]) == cli.EXIT_INPUT
+        assert "power may build coefficients over" in capsys.readouterr().err
+        # likewise for a 6,400-digit denominator built by a sum
+        primes = [p for p in range(2, 15000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        doc["h"] = " + ".join(f"1/{p}*x0^2" for p in primes) + " + x1*x4"
+        assert run([command, problem(doc)]) == cli.EXIT_INPUT
+        assert "a coefficient has more than" in capsys.readouterr().err
+
+
 class TestRootSearchBudget:
     def test_huge_constant_term_exits_3(self, problem, capsys):
         a0 = (10**15 + 37) * (10**3 + 9)
@@ -459,6 +490,13 @@ class TestRootSearchBudget:
         doc = {"vars": ["x0", "x1"], "D": [["0", "1"], ["-36", "0"]]}
         assert run(["zeros", problem(doc)]) == cli.EXIT_OK
         assert run(["zeros", "--max-steps", "10", problem(doc)]) == cli.EXIT_RESOURCE
+
+
+def test_max_steps_help_names_both_budgets(capsys):
+    assert run(["zeros", "--help"]) == cli.EXIT_OK
+    text = "step budget for Groebner reductions and the rational-root search of zeros"
+    # argparse wraps the help, breaking lines after spaces and hyphens
+    assert "".join(text.split()) in "".join(capsys.readouterr().out.split())
 
 
 class TestModuleEntryPoint:

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,3 +203,26 @@ class TestWeightZeroMonomials:
         D = Derivation.diagonal(P4C, [P4C.variable("a"), 0, 0, 0, 0])
         with pytest.raises(InputError):
             weight_zero_monomials(D, 2)
+
+
+RELOAD_SCRIPT = """
+import gc, importlib, sys, weakref
+ref = weakref.ref(importlib.import_module("projvf.polyring").Polynomial)
+for name in [n for n in sys.modules if n == "projvf" or n.startswith("projvf.")]:
+    del sys.modules[name]
+importlib.import_module("projvf")
+gc.collect()
+print("released" if ref() is None else "kept")
+"""
+
+
+def test_unloaded_package_is_released():
+    """Nothing outside projvf keeps a reference into it: once its modules are
+    dropped from sys.modules and it is imported again, the previous copy is
+    garbage. An evaluated typing.Union alias of projvf classes once kept it
+    alive through typing's cache."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", RELOAD_SCRIPT], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "released"

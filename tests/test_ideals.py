@@ -28,6 +28,7 @@ from projvf import (
     vanishes_on,
     zero_locus_ideal,
 )
+from projvf import ideals
 from support import brute_force_member, rand_homogeneous, rand_poly
 
 P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
@@ -395,6 +396,11 @@ PINNED_STEPS = [
 ]
 
 
+#: S-pairs each computation of PINNED_STEPS reduces, in the same order,
+#: recorded when the engine's S-pairs still went through ``s_polynomial``
+PINNED_S_PAIRS = [1, 16, 45, 39, 11]
+
+
 class TestStepSequence:
     """The budget is spent once per reduction step, so these counts are exact."""
 
@@ -404,10 +410,100 @@ class TestStepSequence:
         with pytest.raises(ResourceLimitError):
             compute(steps - 1)
 
+    @pytest.mark.parametrize("pinned, pairs", zip(PINNED_STEPS, PINNED_S_PAIRS), ids=[p.id for p in PINNED_STEPS])
+    def test_exact_s_pairs(self, pinned, pairs, monkeypatch):
+        compute, steps = pinned.values
+        calls = []
+        s_pair = ideals._s_pair
+
+        def counting(*args):
+            calls.append(args)
+            return s_pair(*args)
+
+        monkeypatch.setattr(ideals, "_s_pair", counting)
+        compute(steps)
+        assert len(calls) == pairs
+
     def test_pinned_results(self):
         assert len(buchberger(jacobian_ideal(CUBIC4)).basis) == 16
         assert radical_member(P4.variable("x3"), jacobian_ideal(CUBIC4))
         assert not radical_member(parse_poly("x0 - x1", SMALL), TWISTED)
+
+
+def packing_and_exponents(data, nvars_max=6):
+    """A packing with a drawn width, down to one bit per field, and a strategy
+    for exponent vectors that fit it, biased towards the field limit."""
+    nvars = data.draw(st.integers(1, nvars_max))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_MIN_FIELD_BITS", data.draw(st.sampled_from((1, ideals._MIN_FIELD_BITS))))
+        pk = ideals._Packing(nvars, data.draw(st.sampled_from((0, 1, 2, 6, 127, 128, 10**6))))
+    exponent = st.integers(0, pk.room) | st.sampled_from((0, pk.room, max(pk.room - 1, 0), pk.room // 2))
+    return pk, st.tuples(*[exponent] * nvars)
+
+
+def tuple_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+class TestPacking:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_order_and_divisibility(self, data):
+        pk, exponents = packing_and_exponents(data)
+        a, b = data.draw(exponents), data.draw(exponents)
+        ka, kb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(ka) == a and pk.unpack(kb) == b
+        assert (ka < kb) == (order_key(a) < order_key(b))
+        assert (ka == kb) == (a == b)
+        assert (not (kb - ka + pk.zero) & pk.mask) == tuple_divides(a, b)
+        assert (not (ka - kb + pk.zero) & pk.mask) == tuple_divides(b, a)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_product_is_addition(self, data):
+        pk, exponents = packing_and_exponents(data)
+        a = data.draw(exponents)
+        b = tuple(data.draw(st.integers(0, pk.room - e) | st.just(pk.room - e)) for e in a)
+        product = tuple(x + y for x, y in zip(a, b))
+        assert pk.pack(a) + pk.pack(b) - pk.zero == pk.pack(product)
+        assert pk.zero == pk.pack((0,) * pk.nvars)
+
+    def test_width_follows_the_degree(self):
+        N = 10**6
+        ctx = VarContext(("x0", "x1", "x2"))
+        x0, x1 = ctx.variable("x0"), ctx.variable("x1")
+        gb = buchberger(Ideal.spanned_by(ctx, (x0**N - x1**N, x0 * x1)))
+        assert set(gb.basis) == {x0**N - x1**N, x0 * x1, x1 ** (N + 1)}
+        assert normal_form(x0 ** (N + 1) + x1, gb) == x1
+
+    def test_narrowest_start_widens_and_keeps_results(self, monkeypatch):
+        """With fields no wider than the input degrees need, new basis
+        elements outgrow the packing on ordinary inputs."""
+        packings = []  # packings made by each Groebner computation
+        groebner = ideals._groebner
+
+        def counting_groebner(*args):
+            packings.append(0)
+            return groebner(*args)
+
+        class Counted(ideals._Packing):
+            def __init__(self, nvars, room):
+                super().__init__(nvars, room)
+                packings[-1] += 1
+
+        monkeypatch.setattr(ideals, "_MIN_FIELD_BITS", 1)
+        monkeypatch.setattr(ideals, "_groebner", counting_groebner)
+        monkeypatch.setattr(ideals, "_Packing", Counted)
+        for compute, steps in (p.values for p in PINNED_STEPS):
+            compute(steps)
+            with pytest.raises(ResourceLimitError):
+                compute(steps - 1)
+        assert max(packings) > 1
+        sympy = pytest.importorskip("sympy")
+        for gens in differential_corpus() + coefficient_corpus():
+            ctx = gens[0].context
+            ours = [dict(p._terms) for p in buchberger(Ideal.spanned_by(ctx, gens)).basis]
+            assert ours == sympy_reduced_basis(sympy, gens)
 
 
 def assert_clean(p):

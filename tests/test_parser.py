@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projvf import ParseError, VarContext, parse_poly, parser
-from projvf.parser import MAX_EXPONENT, MAX_NESTING
+from projvf import ParseError, Polynomial, VarContext, parse_poly, parser
+from projvf.parser import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_NESTING
 from support import rand_poly
 
 P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
@@ -118,6 +118,46 @@ class TestLimits:
         power = parse_poly(f"(2*x0*x1)^{MAX_EXPONENT}", P4)
         assert power == P4.variable("x0") ** MAX_EXPONENT * P4.variable("x1") ** MAX_EXPONENT * 2**MAX_EXPONENT
         assert parse_poly("(x0 - x0)^0", P4) == 1
+
+    def test_product_term_cap(self, monkeypatch):
+        # 3 * 4 = 12 products before like terms merge
+        text = "(x0 + x1 + x2)*(x0 + x1 + x3 + x4)"
+        monkeypatch.setattr(parser, "MAX_TERMS", 12)
+        assert len(parse_poly(text, P4)) == 11
+        monkeypatch.setattr(parser, "MAX_TERMS", 11)
+
+        def multiply(a, b):
+            raise AssertionError("the product was expanded")
+
+        monkeypatch.setattr(Polynomial, "__mul__", multiply)
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, P4)
+        assert err.value.position == text.index("*")
+
+    def test_coefficient_size_cap(self):
+        # 2^100 has 101 bits; n * 101 bits is the bound for its n-th power
+        n = MAX_COEFFICIENT_BITS // 101
+        assert parse_poly(f"(2^100)^{n}*x0", SMALL) == 2 ** (100 * n) * SMALL.variable("x0")
+        nested = "((((2^100)^100)^100)^100)^100"
+        for text, position in ((f"(2^100)^{n + 1}", 7), (f"((2^100)^{n})^2", 12), (nested, 10)):
+            with pytest.raises(ParseError) as err:
+                parse_poly(text, SMALL)
+            assert err.value.position == position
+        # a product is bounded by the sum of its factors' bits; 2^k has k + 1
+        free = MAX_COEFFICIENT_BITS - (100 * n + 1)
+        assert parse_poly(f"(2^100)^{n}*2^{free - 1}", SMALL) == 2 ** (100 * n + free - 1)
+        with pytest.raises(ParseError) as err:
+            parse_poly(f"(2^100)^{n}*2^{free}", SMALL)
+        assert err.value.position == len(f"(2^100)^{n}")
+
+    def test_coefficient_size_cap_on_sums(self):
+        # 1/2 + 1/3 + 1/5 + ... has the product of the primes as denominator
+        primes = [p for p in range(2, 12000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        text = " + ".join(f"1/{p}*x0" for p in primes)
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, SMALL)
+        assert err.value.position == 0
+        assert parse_poly(" + ".join(f"1/{p}*x0" for p in primes[:100]), SMALL)
 
     def test_overlong_integer_literal(self):
         for text in ("x0^" + "9" * 5000, "9" * 5000 + "*x0"):
