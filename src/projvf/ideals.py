@@ -9,7 +9,9 @@ re-running on permuted generators reproduces it verbatim.
 Radical membership goes through the standard ring extension by a fresh
 variable appended after all existing ones: f lies in the radical of I exactly
 when 1 lies in I + (1 - t*f). The extension variable never leaks into output.
-Smoothness does not use radical membership: one Groebner basis decides it.
+Smoothness does not use radical membership: one Buchberger run on h and its
+partials decides it, stopped as soon as every variable has a pure-power
+leading monomial and, when it completes, never inter-reduced.
 
 Inside the engine a polynomial is a term dict keyed by packed monomials:
 one int per exponent vector, built so that integer order is the global
@@ -46,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .derivations import Derivation
 from .errors import DEFAULT_MAX_STEPS, InputError, ResourceLimitError
@@ -266,7 +268,12 @@ def _reduce(p: dict, rows: Sequence[tuple], budget: _Budget, packing: _Packing) 
     return remainder, scale
 
 
-def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Budget) -> list[Polynomial]:
+def _groebner(
+    generators: Sequence[Polynomial],
+    context: VarContext,
+    budget: _Budget,
+    stop: Callable[[Monomial], bool] | None = None,
+) -> list[Polynomial] | bool:
     """Reduced Groebner basis of arbitrary (possibly zero) generators.
 
     The basis under construction holds rows of primitive integer polynomials
@@ -274,6 +281,11 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
     packing has room for twice the largest leading degree, the degree of any
     pair's lcm, and is widened between reductions when a new basis element
     needs more.
+
+    With ``stop``, a predicate shown every leading monomial as it joins the
+    basis (the generators' first), the result is instead whether ``stop``
+    returned True: the computation ends there, and a basis that completes
+    first is left as it is, neither minimalised nor inter-reduced.
     """
     gens = [g for g in generators if g]
     if not gens:
@@ -281,6 +293,8 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
     pk = _Packing(context.nvars, 2 * max(map(_degree, gens)))
     rows = [_row(_primitive(pk.terms(g))) for g in gens]
     leads = [pk.unpack(lm) for lm, _, _ in rows]
+    if stop is not None and any(map(stop, leads)):
+        return True
 
     heap: list[tuple[int, int, int]] = []
     pending: set[tuple[int, int]] = set()
@@ -328,9 +342,13 @@ def _groebner(generators: Sequence[Polynomial], context: VarContext, budget: _Bu
                 terms = {move(m): c for m, c in terms.items()}
             rows.append(_row(terms))
             leads.append(lead)
+            if stop is not None and stop(lead):
+                return True
             new = len(rows) - 1
             for k in range(new):
                 push(k, new)
+    if stop is not None:
+        return False
 
     # minimalise: drop elements whose leading term another element divides
     zero, mask = pk.zero, pk.mask
@@ -424,12 +442,17 @@ def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) 
 
 
 def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """Gradient criterion for smoothness of the hypersurface h = 0, from one basis.
+    """Gradient criterion for smoothness of the hypersurface h = 0.
 
-    Smooth exactly when J = (h, dh/dx_0, ..., dh/dx_n) has no projective zero,
-    i.e. every x_i lies in sqrt(J). x_i in sqrt(J) <=> x_i^k in J <=> some
-    leading monomial of the reduced basis divides x_i^k: a pure power of x_i,
-    or the unit monomial when the basis is {1} (a hyperplane).
+    Smooth exactly when J = (h, dh/dx_0, ..., dh/dx_n) has no projective
+    zero, that is when S/J has finite length, which holds exactly when LT(J)
+    contains a power of every x_i (the finiteness theorem). A leading
+    monomial of any element of J lies in LT(J), so the verdict is "smooth"
+    as soon as Buchberger's running basis has, for every x_i, a leading
+    monomial dividing a power of x_i: a pure power of x_i, or the unit
+    monomial when 1 lies in J (a hyperplane). The leading monomials of a
+    completed basis generate LT(J), so when the pair queue empties with
+    some x_i still uncovered, no power of it lies in LT(J) and h is singular.
     """
     _require_parameter_free([h], "smoothness input")
     deg = homogeneous_degree(h)
@@ -437,9 +460,15 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
         raise InputError("smoothness is defined for nonzero homogeneous polynomials of degree >= 1")
     ctx = h.context
     gens = [h] + [partial_derivative(h, v) for v in ctx.projective]
-    gb = buchberger(Ideal.spanned_by(ctx, gens), max_steps)
-    leading = [g.leading_term()[0] for g in gb.basis]
-    return all(any(sum(m) == m[i] for m in leading) for i in range(ctx.nproj))
+    uncovered = set(range(ctx.nproj))
+
+    def covers_all(lead: Monomial) -> bool:
+        # lead divides a power of x_i exactly when its degree is its x_i exponent
+        d = sum(lead)
+        uncovered.difference_update([i for i in uncovered if lead[i] == d])
+        return not uncovered
+
+    return _groebner(gens, ctx, _Budget(max_steps), covers_all)
 
 
 def zero_locus_ideal(D: Derivation) -> Ideal:

@@ -11,10 +11,10 @@ Grammar, tightest binding first:
 Implicit multiplication is rejected, exponents must be nonnegative integer
 literals of at most ``MAX_EXPONENT``, a power or a product may expand to at
 most ``MAX_TERMS`` terms, no coefficient may exceed ``MAX_COEFFICIENT_BITS``
-bits, and '/' only accepts a nonzero constant divisor
-(coefficients such as 1/2). Parentheses nest at most ``MAX_NESTING``
-deep, so the recursion stays far from Python's limit. Every error carries the
-offset of the offending character.
+bits (checked at each power, product and sum), and '/' only accepts a
+nonzero constant divisor (coefficients such as 1/2). Parentheses nest at
+most ``MAX_NESTING`` deep, so the recursion stays far from Python's limit.
+Every error carries the offset of the offending character.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ MAX_TERMS = 1_000
 #: most bits in a numerator or denominator of a parsed polynomial. Powers and
 #: products are bounded before expanding, by n * bits(base) and bits(a) +
 #: bits(b), since nested powers of constants would otherwise grow coefficients
-#: exponentially in the text length; the result is checked once more. The
-#: bound keeps every coefficient inside the 4,300 decimal digits that str()
-#: converts (about 14,000 bits)
+#: exponentially in the text length. A sum is checked after each '+' or '-'
+#: on the coefficients it changed, and the result once more. The bound keeps
+#: every coefficient inside the 4,300 decimal digits that str() converts
+#: (about 14,000 bits)
 MAX_COEFFICIENT_BITS = 10_000
 
 
@@ -105,6 +106,9 @@ class _Parser:
             op = self.advance()
             rhs = self.term()
             value = value + rhs if op.kind == "+" else value - rhs
+            # a sum changes only the coefficients at rhs's monomials
+            if _coefficient_bits(value, rhs._terms) > MAX_COEFFICIENT_BITS:
+                raise ParseError(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits", op.pos)
         return value
 
     def term(self) -> Polynomial:
@@ -178,9 +182,12 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
 
-def _coefficient_bits(p: Polynomial) -> int:
-    """Bits in p's largest numerator or denominator (0 for the zero polynomial)."""
-    return max((max(abs(c.numerator), c.denominator) for c in p._terms.values()), default=0).bit_length()
+def _coefficient_bits(p: Polynomial, monomials=None) -> int:
+    """Bits in the largest numerator or denominator among p's coefficients, or
+    among those at ``monomials`` when given (0 when there are none)."""
+    terms = p._terms
+    coefficients = terms.values() if monomials is None else (terms[m] for m in monomials if m in terms)
+    return max((max(abs(c.numerator), c.denominator) for c in coefficients), default=0).bit_length()
 
 
 def _integer(tok: Token) -> int:
@@ -197,7 +204,8 @@ def parse_poly(text: str, ctx: VarContext) -> Polynomial:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
-    # sums and divisions grow coefficients at most linearly in the text length
+    # sums are checked at each operator; a quotient may still exceed the bound,
+    # by at most its divisor's bits
     if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
         raise ParseError(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits", 0)
     return value

@@ -7,7 +7,7 @@ import pytest
 
 from projvf import Polynomial, cli
 from projvf.cli import run
-from projvf.parser import MAX_EXPONENT, MAX_TERMS
+from projvf.parser import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_TERMS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(ROOT, "bench")
@@ -458,6 +458,15 @@ class TestParserLimits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"product may expand to more than {MAX_TERMS} terms (at position {len(base)})" in captured.err
+
+    def test_sum_over_cap_exits_2_at_its_operator(self, problem, capsys):
+        # once 7 s of rational additions before the final check rejected it
+        h = " + ".join(f"1/((2^100)^99 + {i})*x0" for i in range(200))
+        assert run(["smooth", problem({"vars": ["x0", "x1"], "h": h})]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        position = h.index("+", h.index(")*x0"))
+        assert f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits (at position {position})" in captured.err
 
     @pytest.mark.parametrize("command", ["gb", "cone-shape", "stabilizer"])
     def test_coefficient_too_long_to_print_exits_2(self, command, problem, capsys):

@@ -17,6 +17,7 @@ from projvf import (
     evaluate,
     ideal_member,
     is_smooth_projective,
+    monomials_of_degree,
     normal_form,
     order_key,
     parse_poly,
@@ -281,6 +282,10 @@ CAYLEY_TEXT = "x1*x2*x3 + x0*x2*x3 + x0*x1*x3 + x0*x1*x2"
 FERMAT3_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
 CAYLEY = parse_poly(CAYLEY_TEXT, P3)
 FERMAT3 = parse_poly(FERMAT3_TEXT, P3)
+#: smooth inputs whose gradients' own leading monomials are not all pure
+#: powers, so that a verdict takes reduction steps
+PERTURBED_FERMAT3 = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2", P3)
+PENTAGON_QUADRIC = parse_poly("x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0", P4)
 
 
 def jacobian_ideal(h):
@@ -298,6 +303,36 @@ def smoothness_corpus():
                 if h:
                     cases.append(h)
     return cases
+
+
+def fermat_quartic_plus(k, seed):
+    """x0^4 + ... + x4^4 plus k other quartic monomials with coefficients in
+    +-{1, 2, 3}: a dense smooth quartic threefold for most draws."""
+    rng = random.Random(seed)
+    others = [m for m in monomials_of_degree(P4, 4) if max(m) < 4]
+    terms = {m: Fraction(rng.choice((1, 2, 3)) * rng.choice((1, -1))) for m in rng.sample(others, k)}
+    return parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x4^4", P4) + Polynomial(P4, terms)
+
+
+def smooth_by_reduced_basis(h):
+    """Reference route: pure powers (or 1) among the leading monomials of the
+    full reduced basis of (h, grad h)."""
+    leading = [g.leading_term()[0] for g in buchberger(jacobian_ideal(h)).basis]
+    return all(any(sum(m) == m[i] for m in leading) for i in range(h.context.nproj))
+
+
+def counting_s_pairs(monkeypatch):
+    """Patch the engine's S-pair so that the returned list grows by one entry
+    per S-pair reduced."""
+    calls = []
+    s_pair = ideals._s_pair
+
+    def counting(*args):
+        calls.append(args)
+        return s_pair(*args)
+
+    monkeypatch.setattr(ideals, "_s_pair", counting)
+    return calls
 
 
 def smooth_by_radical_membership(h):
@@ -358,7 +393,7 @@ class TestSmoothness:
         verdict = is_smooth_projective(parse_poly(text, P3))
         assert is_smooth_projective(parse_poly(text, with_param)) == verdict
 
-    @pytest.mark.parametrize("h", [CAYLEY, FERMAT3, QUADRIC])
+    @pytest.mark.parametrize("h", [CAYLEY, PERTURBED_FERMAT3, PENTAGON_QUADRIC])
     def test_tiny_budget_raises(self, h):
         with pytest.raises(ResourceLimitError):
             is_smooth_projective(h, max_steps=1)
@@ -376,16 +411,49 @@ class TestSmoothness:
         assert 0 < sum(verdicts) < len(verdicts)
         assert verdicts == [smooth_by_sympy(sympy, h) for h in cases]
 
+    def test_early_exit_agrees_with_full_reduced_basis(self):
+        cases = smoothness_corpus() + [CAYLEY, FERMAT3, QUADRIC, PERTURBED_FERMAT3, PENTAGON_QUADRIC]
+        cases += [parse_poly("x0 + x1", P4), parse_poly("x0 - 2*x2", SMALL)]
+        verdicts = [is_smooth_projective(h) for h in cases]
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert verdicts == [smooth_by_reduced_basis(h) for h in cases]
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_dense_quartic_threefolds(self, seed):
+        # smooth, and decided only after hundreds of reduction steps
+        sympy = pytest.importorskip("sympy")
+        h = fermat_quartic_plus(4, seed)
+        assert is_smooth_projective(h)
+        assert smooth_by_reduced_basis(h) and smooth_by_sympy(sympy, h)
+        with pytest.raises(ResourceLimitError):
+            is_smooth_projective(h, max_steps=500)
+
+    def test_smooth_stops_before_the_basis_completes(self, monkeypatch):
+        calls = counting_s_pairs(monkeypatch)
+        assert is_smooth_projective(CUBIC4)
+        early = len(calls)
+        buchberger(jacobian_ideal(CUBIC4))
+        assert 0 < early < len(calls) - early
+
+    def test_singular_runs_the_pair_queue_to_the_end(self, monkeypatch):
+        calls = counting_s_pairs(monkeypatch)
+        assert not is_smooth_projective(CAYLEY)
+        singular = len(calls)
+        buchberger(jacobian_ideal(CAYLEY))
+        assert singular == len(calls) - singular > 0
+
 
 CUBIC4 = parse_poly("x0^3 + 2*x1^3 - x2^2*x3 + x3^3 + x4^3 - x0*x1*x4 + 3*x2*x3*x4", P4)
 TWISTED = ideal_of(SMALL, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
 
 #: (computation under a step budget, exact number of budget steps it takes),
 #: recorded before reduction moved onto a mutable term dict: the engine may
-#: change its data representation but not its sequence of reduction steps
+#: change its data representation but not its sequence of reduction steps.
+#: A smoothness pin counts the steps up to the verdict: to the last missing
+#: pure power when smooth, to the last S-pair when singular.
 PINNED_STEPS = [
-    pytest.param(lambda s: is_smooth_projective(FERMAT3, max_steps=s), 7, id="smooth-fermat-cubic"),
-    pytest.param(lambda s: is_smooth_projective(CAYLEY, max_steps=s), 74, id="smooth-cayley-cubic"),
+    pytest.param(lambda s: is_smooth_projective(CAYLEY, max_steps=s), 54, id="smooth-cayley-cubic"),
+    pytest.param(lambda s: is_smooth_projective(CUBIC4, max_steps=s), 73, id="smooth-p4-cubic"),
     pytest.param(lambda s: buchberger(jacobian_ideal(CUBIC4), max_steps=s), 128, id="gb-p4-gradient"),
     pytest.param(
         lambda s: radical_member(P4.variable("x3"), jacobian_ideal(CUBIC4), max_steps=s), 70, id="radical-p4-gradient"
@@ -398,7 +466,7 @@ PINNED_STEPS = [
 
 #: S-pairs each computation of PINNED_STEPS reduces, in the same order,
 #: recorded when the engine's S-pairs still went through ``s_polynomial``
-PINNED_S_PAIRS = [1, 16, 45, 39, 11]
+PINNED_S_PAIRS = [16, 26, 45, 39, 11]
 
 
 class TestStepSequence:
@@ -413,18 +481,18 @@ class TestStepSequence:
     @pytest.mark.parametrize("pinned, pairs", zip(PINNED_STEPS, PINNED_S_PAIRS), ids=[p.id for p in PINNED_STEPS])
     def test_exact_s_pairs(self, pinned, pairs, monkeypatch):
         compute, steps = pinned.values
-        calls = []
-        s_pair = ideals._s_pair
-
-        def counting(*args):
-            calls.append(args)
-            return s_pair(*args)
-
-        monkeypatch.setattr(ideals, "_s_pair", counting)
+        calls = counting_s_pairs(monkeypatch)
         compute(steps)
         assert len(calls) == pairs
 
+    def test_fermat_cubic_needs_no_step(self, monkeypatch):
+        # the partials 3*x_i^2 are pure powers already
+        calls = counting_s_pairs(monkeypatch)
+        assert is_smooth_projective(FERMAT3, max_steps=0)
+        assert calls == []
+
     def test_pinned_results(self):
+        assert is_smooth_projective(CUBIC4) and not is_smooth_projective(CAYLEY)
         assert len(buchberger(jacobian_ideal(CUBIC4)).basis) == 16
         assert radical_member(P4.variable("x3"), jacobian_ideal(CUBIC4))
         assert not radical_member(parse_poly("x0 - x1", SMALL), TWISTED)

@@ -153,11 +153,43 @@ class TestLimits:
     def test_coefficient_size_cap_on_sums(self):
         # 1/2 + 1/3 + 1/5 + ... has the product of the primes as denominator
         primes = [p for p in range(2, 12000) if all(p % q for q in range(2, int(p**0.5) + 1))]
-        text = " + ".join(f"1/{p}*x0" for p in primes)
+        terms = [f"1/{p}*x0" for p in primes]
+        total, k = Fraction(0), 0
+        while max(abs(total.numerator), total.denominator).bit_length() <= MAX_COEFFICIENT_BITS:
+            total += Fraction(1, primes[k])
+            k += 1
+        # rejected at the '+' that adds the k-th term, the first over the bound
+        with pytest.raises(ParseError) as err:
+            parse_poly(" + ".join(terms), SMALL)
+        assert err.value.position == len(" + ".join(terms[: k - 1])) + 1
+        below = total - Fraction(1, primes[k - 1])
+        assert parse_poly(" + ".join(terms[: k - 1]), SMALL) == below * SMALL.variable("x0")
+
+    def test_sum_is_rejected_at_its_operator(self, monkeypatch):
+        # each term has a 9,901-bit denominator, so the first sum has 19,802
+        text = " + ".join(f"1/((2^100)^99 + {i})*x0" for i in range(200))
         with pytest.raises(ParseError) as err:
             parse_poly(text, SMALL)
+        assert err.value.position == text.index("+", text.index(")*x0"))
+        assert "a coefficient has more than" in str(err.value)
+        # each sum measures only the coefficient it changed (powers measure
+        # their one-term base); the whole result is measured once, at the end
+        measured = []
+        bits = parser._coefficient_bits
+
+        def counting(p, monomials=None):
+            measured.append(len(p) if monomials is None else len(monomials))
+            return bits(p, monomials)
+
+        monkeypatch.setattr(parser, "_coefficient_bits", counting)
+        parse_poly(" + ".join(f"x0^{i}" for i in range(MAX_EXPONENT)), SMALL)
+        assert set(measured[:-1]) == {1} and measured[-1] == MAX_EXPONENT
+
+    def test_quotient_is_caught_by_the_final_check(self):
+        # 3^6000 * 7^3000 has 17,932 bits although every factor is within bound
+        with pytest.raises(ParseError) as err:
+            parse_poly("(3^100)^60/(1/(7^100)^30)", SMALL)
         assert err.value.position == 0
-        assert parse_poly(" + ".join(f"1/{p}*x0" for p in primes[:100]), SMALL)
 
     def test_overlong_integer_literal(self):
         for text in ("x0^" + "9" * 5000, "9" * 5000 + "*x0"):
