@@ -66,6 +66,7 @@ class _Budget:
 
     def __init__(self, limit: int):
         self.remaining = limit
+        self.spend(0)  # a negative limit is a budget already exceeded
 
     def spend(self, n: int = 1):
         self.remaining -= n

@@ -450,8 +450,10 @@ TWISTED = ideal_of(SMALL, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
 #: recorded before reduction moved onto a mutable term dict: the engine may
 #: change its data representation but not its sequence of reduction steps.
 #: A smoothness pin counts the steps up to the verdict: to the last missing
-#: pure power when smooth, to the last S-pair when singular.
+#: pure power when smooth, to the last S-pair when singular; the Fermat
+#: cubic's partials 3*x_i^2 are pure powers already, so it takes none.
 PINNED_STEPS = [
+    pytest.param(lambda s: is_smooth_projective(FERMAT3, max_steps=s), 0, id="smooth-fermat-cubic"),
     pytest.param(lambda s: is_smooth_projective(CAYLEY, max_steps=s), 54, id="smooth-cayley-cubic"),
     pytest.param(lambda s: is_smooth_projective(CUBIC4, max_steps=s), 73, id="smooth-p4-cubic"),
     pytest.param(lambda s: buchberger(jacobian_ideal(CUBIC4), max_steps=s), 128, id="gb-p4-gradient"),
@@ -466,7 +468,7 @@ PINNED_STEPS = [
 
 #: S-pairs each computation of PINNED_STEPS reduces, in the same order,
 #: recorded when the engine's S-pairs still went through ``s_polynomial``
-PINNED_S_PAIRS = [16, 26, 45, 39, 11]
+PINNED_S_PAIRS = [0, 16, 26, 45, 39, 11]
 
 
 class TestStepSequence:
@@ -484,12 +486,6 @@ class TestStepSequence:
         calls = counting_s_pairs(monkeypatch)
         compute(steps)
         assert len(calls) == pairs
-
-    def test_fermat_cubic_needs_no_step(self, monkeypatch):
-        # the partials 3*x_i^2 are pure powers already
-        calls = counting_s_pairs(monkeypatch)
-        assert is_smooth_projective(FERMAT3, max_steps=0)
-        assert calls == []
 
     def test_pinned_results(self):
         assert is_smooth_projective(CUBIC4) and not is_smooth_projective(CAYLEY)
