@@ -9,9 +9,11 @@ re-running on permuted generators reproduces it verbatim.
 Radical membership goes through the standard ring extension by a fresh
 variable appended after all existing ones: f lies in the radical of I exactly
 when 1 lies in I + (1 - t*f). The extension variable never leaks into output.
-Smoothness does not use radical membership: one Buchberger run on h and its
-partials decides it, stopped as soon as every variable has a pure-power
-leading monomial and, when it completes, never inter-reduced.
+Smoothness does not use radical membership: one Buchberger run on the
+partials of h alone (h lies in their ideal by Euler's relation), taken on
+packed rows without building a polynomial, decides it, stopped as soon as
+every variable has a pure-power leading monomial and, when it completes,
+never inter-reduced.
 
 Inside the engine a polynomial is a term dict keyed by packed monomials:
 one int per exponent vector, built so that integer order is the global
@@ -57,7 +59,6 @@ from .polyring import (
     Polynomial,
     VarContext,
     homogeneous_degree,
-    partial_derivative,
 )
 
 
@@ -270,29 +271,25 @@ def _reduce(p: dict, rows: Sequence[tuple], budget: _Budget, packing: _Packing) 
 
 
 def _groebner(
-    generators: Sequence[Polynomial],
-    context: VarContext,
+    pk: _Packing,
+    rows: list[tuple],
     budget: _Budget,
     stop: Callable[[Monomial], bool] | None = None,
-) -> list[Polynomial] | bool:
-    """Reduced Groebner basis of arbitrary (possibly zero) generators.
+) -> tuple[_Packing, list[dict]] | bool:
+    """Reduced Groebner basis of the ideal that the rows generate.
 
-    The basis under construction holds rows of primitive integer polynomials
-    on packed monomials; only the returned basis is over Q, made monic. The
-    packing has room for twice the largest leading degree, the degree of any
-    pair's lcm, and is widened between reductions when a new basis element
-    needs more.
+    ``rows``, which the engine takes over, holds primitive integer
+    polynomials (:func:`_row`) on packed monomials of ``pk``, which must
+    have room for twice their largest leading degree, the degree of any
+    pair's lcm; the packing is widened between reductions when a new basis
+    element needs more. The result is the final packing and the reduced
+    basis as primitive packed term dicts, leading monomials descending.
 
     With ``stop``, a predicate shown every leading monomial as it joins the
-    basis (the generators' first), the result is instead whether ``stop``
-    returned True: the computation ends there, and a basis that completes
-    first is left as it is, neither minimalised nor inter-reduced.
+    basis (the rows' first), the result is instead whether ``stop`` returned
+    True: the computation ends there, and a basis that completes first is
+    left as it is, neither minimalised nor inter-reduced.
     """
-    gens = [g for g in generators if g]
-    if not gens:
-        return []
-    pk = _Packing(context.nvars, 2 * max(map(_degree, gens)))
-    rows = [_row(_primitive(pk.terms(g))) for g in gens]
     leads = [pk.unpack(lm) for lm, _, _ in rows]
     if stop is not None and any(map(stop, leads)):
         return True
@@ -332,7 +329,7 @@ def _groebner(
             terms = _primitive(remainder)
             lead = pk.unpack(max(terms))
             if 2 * sum(lead) > pk.room:
-                old, pk = pk, _Packing(context.nvars, 2 * sum(lead))
+                old, pk = pk, _Packing(pk.nvars, 2 * sum(lead))
 
                 def move(k: int) -> int:
                     return pk.pack(old.unpack(k))
@@ -374,6 +371,18 @@ def _groebner(
         others = [rows[k] for k in minimal if k != i]
         reduced.append(_reduce(terms, others, budget, pk)[0] if others else terms)
     reduced.sort(key=max, reverse=True)
+    return pk, reduced
+
+
+def _reduced_basis(generators: Sequence[Polynomial], context: VarContext, budget: _Budget) -> list[Polynomial]:
+    """The engine's boundary for Polynomial generators (zero ones allowed):
+    packs them with room for twice the largest degree, makes them primitive
+    rows, and returns the reduced basis made monic over Q."""
+    gens = [g for g in generators if g]
+    if not gens:
+        return []
+    pk = _Packing(context.nvars, 2 * max(map(_degree, gens)))
+    pk, reduced = _groebner(pk, [_row(_primitive(pk.terms(g))) for g in gens], budget)
     return [_monic(terms, pk, context) for terms in reduced]
 
 
@@ -386,7 +395,7 @@ def _require_parameter_free(polys: Iterable[Polynomial], what: str):
 def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
     """The unique reduced Groebner basis of I for the global order."""
     _require_parameter_free(I.generators, "Groebner basis generators")
-    basis = _groebner(I.generators, I.context, _Budget(max_steps))
+    basis = _reduced_basis(I.generators, I.context, _Budget(max_steps))
     return GroebnerBasis(context=I.context, basis=tuple(basis))
 
 
@@ -438,15 +447,46 @@ def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) 
     t = ctx_ext.variable(ctx_ext.parameters[-1])
     gens = [_lift(g, ctx_ext) for g in I.generators]
     gens.append(ctx_ext.one() - t * _lift(f, ctx_ext))
-    basis = _groebner(gens, ctx_ext, _Budget(max_steps))
+    basis = _reduced_basis(gens, ctx_ext, _Budget(max_steps))
     return len(basis) == 1 and basis[0] == ctx_ext.one()
+
+
+def _gradient_rows(h: Polynomial) -> tuple[_Packing, list[tuple]]:
+    """The rows of the nonzero partials dh/dx_i, in the order of the
+    projective variables, and their packing, which has room for twice the
+    partials' degree (and for h).
+
+    h is packed and made primitive once; each partial is taken on the packed
+    monomials: a term c x^m with e_i = room - field_i(m) > 0 becomes c e_i at
+    m + 2^(i bits) - 2^(nvars bits), which raises field i by one and lowers
+    the degree field by one.
+    """
+    d = _degree(h)
+    pk = _Packing(h.context.nvars, max(d, 2 * d - 2))
+    terms = _primitive(pk.terms(h))
+    field = (1 << pk.bits) - 1
+    rows = []
+    for i in range(h.context.nproj):
+        shift = i * pk.bits
+        step = (1 << shift) - (1 << (pk.nvars * pk.bits))
+        partial = {}
+        for m, c in terms.items():
+            e = pk.room - ((m >> shift) & field)
+            if e:
+                partial[m + step] = c * e
+        if partial:
+            rows.append(_row(_primitive(partial)))
+    return pk, rows
 
 
 def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
     """Gradient criterion for smoothness of the hypersurface h = 0.
 
     Smooth exactly when J = (h, dh/dx_0, ..., dh/dx_n) has no projective
-    zero, that is when S/J has finite length, which holds exactly when LT(J)
+    zero. Over Q, Euler's relation d h = sum x_i dh/dx_i for h homogeneous of
+    degree d puts h in the ideal of its partials, so J = (dh/dx_0, ...,
+    dh/dx_n) and only the partials enter Buchberger. J has no projective zero
+    exactly when S/J has finite length, which holds exactly when LT(J)
     contains a power of every x_i (the finiteness theorem). A leading
     monomial of any element of J lies in LT(J), so the verdict is "smooth"
     as soon as Buchberger's running basis has, for every x_i, a leading
@@ -459,9 +499,7 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
     deg = homogeneous_degree(h)
     if deg == "any" or deg is None or deg < 1:
         raise InputError("smoothness is defined for nonzero homogeneous polynomials of degree >= 1")
-    ctx = h.context
-    gens = [h] + [partial_derivative(h, v) for v in ctx.projective]
-    uncovered = set(range(ctx.nproj))
+    uncovered = set(range(h.context.nproj))
 
     def covers_all(lead: Monomial) -> bool:
         # lead divides a power of x_i exactly when its degree is its x_i exponent
@@ -469,7 +507,7 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
         uncovered.difference_update([i for i in uncovered if lead[i] == d])
         return not uncovered
 
-    return _groebner(gens, ctx, _Budget(max_steps), covers_all)
+    return _groebner(*_gradient_rows(h), _Budget(max_steps), covers_all)
 
 
 def zero_locus_ideal(D: Derivation) -> Ideal:

@@ -114,13 +114,6 @@ class RatMatrix:
         n = len(values)
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_strings(cls, rows: Sequence[Sequence[str]]) -> "RatMatrix":
-        """Row-major matrix of rational strings (``p/q`` or ``p``)."""
-        from .rationals import parse_rational
-
-        return cls([[parse_rational(v) for v in row] for row in rows])
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -153,12 +146,6 @@ class RatMatrix:
         )
 
     __rmul__ = __mul__
-
-    def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise InputError("vector length does not match matrix width")
-        vv = [Fraction(x) for x in v]
-        return tuple(sum((a * b for a, b in zip(row, vv)), Fraction(0)) for row in self.entries)
 
     def _same_shape(self, other: "RatMatrix"):
         if self.rows != other.rows or self.cols != other.cols:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from projvf import Polynomial, VarContext, monomials_of_degree
+from projvf import Polynomial, RatMatrix, VarContext, monomials_of_degree, parse_rational
 
 
 def rand_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -48,6 +48,17 @@ def rand_homogeneous(rng: random.Random, ctx: VarContext, degree: int, max_terms
 
 def rand_matrix(rng: random.Random, rows: int, cols: int, span: int = 5):
     return [[Fraction(rng.randint(-span, span)) for _ in range(cols)] for _ in range(rows)]
+
+
+def mul_vec(M: RatMatrix, v) -> tuple[Fraction, ...]:
+    """The product M v over Q, for a vector v as long as M is wide."""
+    assert len(v) == M.cols, "vector length does not match matrix width"
+    return tuple(sum((a * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in M.entries)
+
+
+def matrix_from_strings(rows) -> RatMatrix:
+    """Row-major matrix of rational strings (``p/q`` or ``p``)."""
+    return RatMatrix([[parse_rational(v) for v in row] for row in rows])
 
 
 # -- independent sparse elimination over monomial-keyed dicts -----------------

@@ -15,6 +15,7 @@ from projvf import (
     VarContext,
     buchberger,
     evaluate,
+    homogeneous_degree,
     ideal_member,
     is_smooth_projective,
     monomials_of_degree,
@@ -289,7 +290,11 @@ PENTAGON_QUADRIC = parse_poly("x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0", P4)
 
 
 def jacobian_ideal(h):
-    return Ideal.spanned_by(h.context, [h] + [partial_derivative(h, v) for v in h.context.projective])
+    return Ideal.spanned_by(h.context, [h] + gradient(h))
+
+
+def gradient(h):
+    return [partial_derivative(h, v) for v in h.context.projective]
 
 
 def smoothness_corpus():
@@ -432,15 +437,71 @@ class TestSmoothness:
         calls = counting_s_pairs(monkeypatch)
         assert is_smooth_projective(CUBIC4)
         early = len(calls)
-        buchberger(jacobian_ideal(CUBIC4))
+        buchberger(Ideal.spanned_by(P4, gradient(CUBIC4)))
         assert 0 < early < len(calls) - early
 
     def test_singular_runs_the_pair_queue_to_the_end(self, monkeypatch):
         calls = counting_s_pairs(monkeypatch)
         assert not is_smooth_projective(CAYLEY)
         singular = len(calls)
-        buchberger(jacobian_ideal(CAYLEY))
+        buchberger(Ideal.spanned_by(P3, gradient(CAYLEY)))
         assert singular == len(calls) - singular > 0
+
+
+#: P^3 with a parameter variable that no input uses
+P3_PARAM = VarContext(P3.projective, ("c",))
+
+
+@st.composite
+def homogeneous_inputs(draw):
+    """A homogeneous h of degree 1-4 with rational coefficients, in P^3, P^4
+    or P^3 with a parameter variable, on a drawn subset of the projective
+    variables (so that partials may vanish), and with a negative leading
+    coefficient about half the time."""
+    ctx = draw(st.sampled_from((P3, P4, P3_PARAM)))
+    used = draw(st.sets(st.integers(0, ctx.nproj - 1), min_size=1))
+    unused = [i for i in range(ctx.nproj) if i not in used]
+    monomials = [m for m in monomials_of_degree(ctx, draw(st.integers(1, 4))) if not any(m[i] for i in unused)]
+    coefficient = st.fractions(-30, 30, max_denominator=12).filter(bool)
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=8, unique=True))
+    h = Polynomial(ctx, {m: draw(coefficient) for m in chosen})
+    if draw(st.booleans()) == (h.leading_term()[1] > 0):
+        h = -h
+    return h
+
+
+class TestPackedGradient:
+    @given(homogeneous_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_reference_partials(self, h):
+        pk, rows = ideals._gradient_rows(h)
+        reference = [ideals._row(ideals._primitive(pk.terms(p))) for p in gradient(h) if p]
+        assert rows == reference
+
+    @given(homogeneous_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_euler_relation(self, h):
+        # d h = sum x_i dh/dx_i: h lies in the ideal of its partials
+        ctx = h.context
+        euler = sum((ctx.variable(v) * p for v, p in zip(ctx.projective, gradient(h))), ctx.zero())
+        assert euler == homogeneous_degree(h) * h
+
+    def test_builds_no_polynomial(self, monkeypatch):
+        built = []
+        init, trusted = Polynomial.__init__, Polynomial._trusted.__func__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counting_trusted(cls, *args):
+            built.append(args)
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting_init)
+        monkeypatch.setattr(Polynomial, "_trusted", classmethod(counting_trusted))
+        assert is_smooth_projective(CUBIC4) and not is_smooth_projective(CAYLEY)
+        assert not built
 
 
 CUBIC4 = parse_poly("x0^3 + 2*x1^3 - x2^2*x3 + x3^3 + x4^3 - x0*x1*x4 + 3*x2*x3*x4", P4)
@@ -451,11 +512,12 @@ TWISTED = ideal_of(SMALL, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
 #: change its data representation but not its sequence of reduction steps.
 #: A smoothness pin counts the steps up to the verdict: to the last missing
 #: pure power when smooth, to the last S-pair when singular; the Fermat
-#: cubic's partials 3*x_i^2 are pure powers already, so it takes none.
+#: cubic's partials 3*x_i^2 are pure powers already, so it takes none. A
+#: smoothness check's generators are the partials alone, without h.
 PINNED_STEPS = [
     pytest.param(lambda s: is_smooth_projective(FERMAT3, max_steps=s), 0, id="smooth-fermat-cubic"),
     pytest.param(lambda s: is_smooth_projective(CAYLEY, max_steps=s), 54, id="smooth-cayley-cubic"),
-    pytest.param(lambda s: is_smooth_projective(CUBIC4, max_steps=s), 73, id="smooth-p4-cubic"),
+    pytest.param(lambda s: is_smooth_projective(CUBIC4, max_steps=s), 68, id="smooth-p4-cubic"),
     pytest.param(lambda s: buchberger(jacobian_ideal(CUBIC4), max_steps=s), 128, id="gb-p4-gradient"),
     pytest.param(
         lambda s: radical_member(P4.variable("x3"), jacobian_ideal(CUBIC4), max_steps=s), 70, id="radical-p4-gradient"
@@ -468,7 +530,7 @@ PINNED_STEPS = [
 
 #: S-pairs each computation of PINNED_STEPS reduces, in the same order,
 #: recorded when the engine's S-pairs still went through ``s_polynomial``
-PINNED_S_PAIRS = [0, 16, 26, 45, 39, 11]
+PINNED_S_PAIRS = [0, 15, 25, 45, 39, 11]
 
 
 class TestStepSequence:
@@ -543,12 +605,7 @@ class TestPacking:
     def test_narrowest_start_widens_and_keeps_results(self, monkeypatch):
         """With fields no wider than the input degrees need, new basis
         elements outgrow the packing on ordinary inputs."""
-        packings = []  # packings made by each Groebner computation
-        groebner = ideals._groebner
-
-        def counting_groebner(*args):
-            packings.append(0)
-            return groebner(*args)
+        packings = []  # packings made by each top-level computation
 
         class Counted(ideals._Packing):
             def __init__(self, nvars, room):
@@ -556,10 +613,11 @@ class TestPacking:
                 packings[-1] += 1
 
         monkeypatch.setattr(ideals, "_MIN_FIELD_BITS", 1)
-        monkeypatch.setattr(ideals, "_groebner", counting_groebner)
         monkeypatch.setattr(ideals, "_Packing", Counted)
         for compute, steps in (p.values for p in PINNED_STEPS):
+            packings.append(0)
             compute(steps)
+            packings.append(0)
             with pytest.raises(ResourceLimitError):
                 compute(steps - 1)
         assert max(packings) > 1
