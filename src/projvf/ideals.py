@@ -6,9 +6,11 @@ degree first) with both classical pair-skipping criteria; the output is the
 unique reduced basis for the global graded reverse lexicographic order, so
 re-running on permuted generators reproduces it verbatim.
 
-Radical membership goes through the standard ring extension by a fresh
-variable appended after all existing ones: f lies in the radical of I exactly
-when 1 lies in I + (1 - t*f). The extension variable never leaks into output.
+Radical membership is the ring-extension test: f lies in the radical of I
+exactly when 1 lies in I + (1 - t*f). The extension variable t exists only
+as one more packed field after all the context's variables, so it has no
+name to clash with, and the Buchberger run stops as soon as a constant joins
+the basis.
 Smoothness does not use radical membership: one Buchberger run on the
 partials of h alone (h lies in their ideal by Euler's relation), taken on
 packed rows without building a polynomial, decides it, stopped as soon as
@@ -374,18 +376,6 @@ def _groebner(
     return pk, reduced
 
 
-def _reduced_basis(generators: Sequence[Polynomial], context: VarContext, budget: _Budget) -> list[Polynomial]:
-    """The engine's boundary for Polynomial generators (zero ones allowed):
-    packs them with room for twice the largest degree, makes them primitive
-    rows, and returns the reduced basis made monic over Q."""
-    gens = [g for g in generators if g]
-    if not gens:
-        return []
-    pk = _Packing(context.nvars, 2 * max(map(_degree, gens)))
-    pk, reduced = _groebner(pk, [_row(_primitive(pk.terms(g))) for g in gens], budget)
-    return [_monic(terms, pk, context) for terms in reduced]
-
-
 def _require_parameter_free(polys: Iterable[Polynomial], what: str):
     for p in polys:
         if not p.is_parameter_free():
@@ -395,8 +385,12 @@ def _require_parameter_free(polys: Iterable[Polynomial], what: str):
 def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
     """The unique reduced Groebner basis of I for the global order."""
     _require_parameter_free(I.generators, "Groebner basis generators")
-    basis = _reduced_basis(I.generators, I.context, _Budget(max_steps))
-    return GroebnerBasis(context=I.context, basis=tuple(basis))
+    budget = _Budget(max_steps)
+    if I.is_zero():
+        return GroebnerBasis(context=I.context, basis=())
+    pk = _Packing(I.context.nvars, 2 * max(map(_degree, I.generators)))
+    pk, reduced = _groebner(pk, [_row(_primitive(pk.terms(g))) for g in I.generators], budget)
+    return GroebnerBasis(context=I.context, basis=tuple(_monic(terms, pk, I.context) for terms in reduced))
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> Polynomial:
@@ -418,23 +412,15 @@ def ideal_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) ->
     return not normal_form(f, buchberger(I, max_steps), max_steps)
 
 
-def _fresh_name(ctx: VarContext) -> str:
-    name = "t"
-    while name in ctx.names:
-        name += "_"
-    return name
-
-
-def _append_variable(ctx: VarContext, name: str) -> VarContext:
-    return VarContext(projective=ctx.projective, parameters=ctx.parameters + (name,))
-
-
-def _lift(p: Polynomial, ctx_ext: VarContext) -> Polynomial:
-    return Polynomial(ctx_ext, {m + (0,): c for m, c in p._terms.items()})
-
-
 def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """Decide f in sqrt(I) by the ring-extension membership test: 1 in I + (1 - t*f)."""
+    """Decide f in sqrt(I) by the ring-extension test: 1 in I + (1 - t*f).
+
+    The generators and 1 - t*f enter the engine as rows packed with one more
+    field, for t, than the context has variables, with room for twice the
+    largest of their degrees. The run stops with True as soon as a constant
+    joins the basis; when the pair queue empties first, 1 is not in the
+    extended ideal and the result is False.
+    """
     if f.context != I.context:
         raise InputError("polynomial and ideal belong to different variable contexts")
     _require_parameter_free(I.generators, "radical membership generators")
@@ -443,12 +429,11 @@ def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) 
         return True
     if I.is_zero():
         return False
-    ctx_ext = _append_variable(I.context, _fresh_name(I.context))
-    t = ctx_ext.variable(ctx_ext.parameters[-1])
-    gens = [_lift(g, ctx_ext) for g in I.generators]
-    gens.append(ctx_ext.one() - t * _lift(f, ctx_ext))
-    basis = _reduced_basis(gens, ctx_ext, _Budget(max_steps))
-    return len(basis) == 1 and basis[0] == ctx_ext.one()
+    pk = _Packing(f.context.nvars + 1, 2 * max(_degree(f) + 1, *map(_degree, I.generators)))
+    extension = {pk.pack(m + (1,)): -c for m, c in f._terms.items()}
+    extension[pk.zero] = 1
+    terms = [{pk.pack(m + (0,)): c for m, c in g._terms.items()} for g in I.generators] + [extension]
+    return _groebner(pk, [_row(_primitive(t)) for t in terms], _Budget(max_steps), lambda lead: not any(lead))
 
 
 def _gradient_rows(h: Polynomial) -> tuple[_Packing, list[tuple]]:
@@ -540,7 +525,8 @@ def vanishes_on(
 
     Set-theoretic containment V(I) inside Z(D) by default (radical
     membership of every minor); ``scheme_theoretic=True`` demands plain ideal
-    membership instead.
+    membership instead. A minor that reduces to 0 modulo GB(I) lies in I,
+    and so in its radical, without an extension basis.
     """
     if D.context != I.context:
         raise InputError("derivation and ideal belong to different variable contexts")
@@ -549,10 +535,6 @@ def vanishes_on(
     gb = buchberger(I, max_steps)
     reduced = Ideal(I.context, gb.basis)
     for g in Z.generators:
-        if scheme_theoretic:
-            if normal_form(g, gb, max_steps):
-                return False
-        else:
-            if not radical_member(g, reduced, max_steps):
-                return False
+        if normal_form(g, gb, max_steps) and (scheme_theoretic or not radical_member(g, reduced, max_steps)):
+            return False
     return True
