@@ -35,7 +35,6 @@ from .ideals import (
     is_smooth_projective,
     normal_form,
     radical_member,
-    s_polynomial,
     vanishes_on,
     zero_locus_ideal,
 )
@@ -55,14 +54,12 @@ from .polyring import (
     Polynomial,
     VarContext,
     coefficient_of,
-    evaluate,
     homogeneous_degree,
     monomials_of_degree,
     order_key,
     partial_derivative,
     substitute,
 )
-from .rationals import Rational, parse_rational
 
 __version__ = "0.1.0"
 
@@ -84,7 +81,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "RatMatrix",
-    "Rational",
     "ResourceLimitError",
     "StabilizerSolution",
     "ToolError",
@@ -99,7 +95,6 @@ __all__ = [
     "cone_shape",
     "degree_case_table",
     "euler_reduce",
-    "evaluate",
     "fano_genus",
     "homogeneous_degree",
     "ideal_member",
@@ -111,12 +106,10 @@ __all__ = [
     "nonexistence_check",
     "order_key",
     "parse_poly",
-    "parse_rational",
     "partial_derivative",
     "radical_member",
     "rational_eigen",
     "rref",
-    "s_polynomial",
     "stabilizer_algebra",
     "structured_derivation",
     "substitute",

@@ -19,28 +19,18 @@ from typing import Optional, Sequence
 
 from .derivations import Derivation, euler_reduce, monomial_weight, weight_zero_monomials
 from .errors import InputError, ToolError
-from .ideals import DEFAULT_MAX_STEPS, Ideal, is_smooth_projective, vanishes_on
+from .ideals import DEFAULT_MAX_STEPS, Ideal, _check_hypersurface, is_smooth_projective, vanishes_on
 from .linalg import RatMatrix, kernel_basis, rref
 from .polyring import (
     Monomial,
     Polynomial,
     VarContext,
     coefficient_of,
-    homogeneous_degree,
     monomials_of_degree,
     order_key,
     partial_derivative,
     substitute,
 )
-
-
-def _check_hypersurface(h: Polynomial) -> int:
-    if not h.is_parameter_free():
-        raise InputError("hypersurface equations must be free of parameter variables")
-    deg = homogeneous_degree(h)
-    if deg == "any" or deg is None or deg < 1:
-        raise InputError("hypersurface equations must be nonzero and homogeneous of degree >= 1")
-    return deg
 
 
 # -- stabilizer algebras ------------------------------------------------------
@@ -244,14 +234,13 @@ def coefficient_identity(d: int) -> CoefficientIdentityReport:
     params = ("c", "a", "s0", "s1", "s2", "s3") + tuple(f"b{k}" for k in range(len(others)))
     ctx = VarContext(proj, params)
 
-    def lift(m: Monomial) -> Monomial:
-        return m[:5] + (0,) * len(params)
+    def lift(m: Monomial, param: Optional[str] = None) -> Monomial:
+        """m in ctx, times the parameter named ``param`` when given."""
+        return m[:5] + tuple(int(name == param) for name in params)
 
     c = ctx.variable("c")
     a = ctx.variable("a")
-    h_sym = c.mul_term(lift(top_exp), 1)
-    for k, m in enumerate(others):
-        h_sym = h_sym + ctx.variable(f"b{k}").mul_term(lift(m), 1)
+    h_sym = Polynomial(ctx, {lift(top_exp, "c"): 1, **{lift(m, f"b{k}"): 1 for k, m in enumerate(others)}})
 
     D = structured_derivation(ctx, [ctx.variable(s) for s in ("s0", "s1", "s2", "s3")], a)
     top_extracted = coefficient_of(D(h_sym), lift(top_exp))
@@ -325,9 +314,7 @@ def nonexistence_check(d: int) -> NonexistenceCertificate:
 
     params = tuple(f"q{k}" for k in range(len(allowed)))
     ctx = VarContext(proj, params)
-    h_gen = ctx.zero()
-    for k, m in enumerate(allowed):
-        h_gen = h_gen + ctx.variable(params[k]).mul_term(m[:5] + (0,) * len(params), 1)
+    h_gen = Polynomial(ctx, {m + tuple(int(j == k) for j in range(len(params))): 1 for k, m in enumerate(allowed)})
     vertex = {name: Fraction(0) for name in proj}
     vertex[proj[4]] = Fraction(1)
     value = substitute(h_gen, vertex)
@@ -466,6 +453,8 @@ def degree_case_table() -> tuple[DegreeCase, ...]:
 def fano_genus(index: int, gen_cube: int) -> int:
     """Genus of a Fano threefold of the given index and ample-generator cube:
     half the anticanonical cube plus one."""
+    if index < 1 or gen_cube < 1:
+        raise InputError("the index and the generator cube must be at least 1")
     cube = index**3 * gen_cube
     if cube % 2:
         raise InputError("index^3 * cube must be even for an integral genus")

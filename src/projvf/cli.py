@@ -139,7 +139,7 @@ def _verdict_word(ok: bool) -> str:
 def cmd_gb(problem: ProblemFile, args):
     gb = buchberger(_require(problem.ideal, "ideal"), args.max_steps)
     basis = [str(p) for p in gb.basis]
-    return {"order": gb.order, "basis": basis}, "\n".join(basis) if basis else "0", True
+    return {"order": "grevlex", "basis": basis}, "\n".join(basis) if basis else "0", True
 
 
 def cmd_member(problem: ProblemFile, args):
@@ -277,27 +277,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, needs_file=True):
+    def add(name, fn, help_, needs_file=True, budgeted=False):
         p = sub.add_parser(name, help=help_)
         if needs_file:
             p.add_argument("file", help="JSON problem file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--max-steps",
-            type=int,
-            default=DEFAULT_MAX_STEPS,
-            help="step budget for Groebner reductions and the rational-root search of zeros",
-        )
+        if budgeted:
+            p.add_argument(
+                "--max-steps",
+                type=int,
+                default=DEFAULT_MAX_STEPS,
+                help="step budget for Groebner reductions and the rational-root search of zeros",
+            )
         p.set_defaults(fn=fn)
         return p
 
-    add("gb", cmd_gb, "reduced Groebner basis of the ideal")
-    add("member", cmd_member, "decide whether h lies in the ideal")
-    add("radical-member", cmd_radical_member, "decide whether h lies in the radical of the ideal")
-    add("smooth", cmd_smooth, "gradient smoothness criterion for the hypersurface h")
+    add("gb", cmd_gb, "reduced Groebner basis of the ideal", budgeted=True)
+    add("member", cmd_member, "decide whether h lies in the ideal", budgeted=True)
+    add("radical-member", cmd_radical_member, "decide whether h lies in the radical of the ideal", budgeted=True)
+    add("smooth", cmd_smooth, "gradient smoothness criterion for the hypersurface h", budgeted=True)
     add("stabilizer", cmd_stabilizer, "basis of all pairs (A, c) with D_A h = c*h")
-    add("zeros", cmd_zeros, "zero locus of the field induced by D, with eigenspace data")
-    vanishes = add("vanishes", cmd_vanishes, "check the field against the curve ideal (full verdict with h)")
+    add("zeros", cmd_zeros, "zero locus of the field induced by D, with eigenspace data", budgeted=True)
+    vanishes = add(
+        "vanishes", cmd_vanishes, "check the field against the curve ideal (full verdict with h)", budgeted=True
+    )
     vanishes.add_argument(
         "--scheme-theoretic",
         action="store_true",

@@ -51,30 +51,16 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .derivations import Derivation
-from .errors import DEFAULT_MAX_STEPS, InputError, ResourceLimitError
+from .errors import DEFAULT_MAX_STEPS, InputError, _Budget
 from .polyring import (
     Monomial,
     Polynomial,
     VarContext,
     homogeneous_degree,
 )
-
-
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-        self.spend(0)  # a negative limit is a budget already exceeded
-
-    def spend(self, n: int = 1):
-        self.remaining -= n
-        if self.remaining < 0:
-            raise ResourceLimitError("computation exceeded the configured step budget")
 
 
 @dataclass(frozen=True)
@@ -106,10 +92,6 @@ class GroebnerBasis:
 
     context: VarContext
     basis: tuple[Polynomial, ...]
-    order: str = "grevlex"
-
-    def contains_one(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0] == self.context.one()
 
 
 #: narrowest variable field of a packing, so that a computation whose degrees
@@ -205,15 +187,6 @@ def _monic(terms: dict, packing: _Packing, context: VarContext) -> Polynomial:
     """The packed integer term dict divided by its leading coefficient, over Q."""
     lc = terms[max(terms)]
     return Polynomial._trusted(context, {packing.unpack(m): Fraction(c, lc) for m, c in terms.items()})
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """x^a f / lc(f) - x^b g / lc(g), where x^a lm(f) = x^b lm(g) =
-    lcm(lm(f), lm(g)), so that the leading terms cancel."""
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
-    lcm = tuple(map(max, mf, mg))
-    return f.mul_term(tuple(map(sub, lcm, mf)), 1 / cf) - g.mul_term(tuple(map(sub, lcm, mg)), 1 / cg)
 
 
 def _s_pair(first: tuple, second: tuple, lcm: int) -> dict:
@@ -382,6 +355,17 @@ def _require_parameter_free(polys: Iterable[Polynomial], what: str):
             raise InputError(f"{what} must be free of parameter variables: {p}")
 
 
+def _check_hypersurface(h: Polynomial) -> int:
+    """The degree of the hypersurface equation h, which must be free of
+    parameters, nonzero and homogeneous of degree >= 1."""
+    if not h.is_parameter_free():
+        raise InputError("hypersurface equations must be free of parameter variables")
+    deg = homogeneous_degree(h)
+    if deg == "any" or deg is None or deg < 1:
+        raise InputError("hypersurface equations must be nonzero and homogeneous of degree >= 1")
+    return deg
+
+
 def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
     """The unique reduced Groebner basis of I for the global order."""
     _require_parameter_free(I.generators, "Groebner basis generators")
@@ -480,10 +464,7 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
     completed basis generate LT(J), so when the pair queue empties with
     some x_i still uncovered, no power of it lies in LT(J) and h is singular.
     """
-    _require_parameter_free([h], "smoothness input")
-    deg = homogeneous_degree(h)
-    if deg == "any" or deg is None or deg < 1:
-        raise InputError("smoothness is defined for nonzero homogeneous polynomials of degree >= 1")
+    _check_hypersurface(h)
     uncovered = set(range(h.context.nproj))
 
     def covers_all(lead: Monomial) -> bool:

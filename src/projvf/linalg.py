@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_MAX_STEPS, InputError, ResourceLimitError
+from .errors import DEFAULT_MAX_STEPS, InputError, _Budget
 
 
 @dataclass(frozen=True)
@@ -241,16 +241,6 @@ class EigenDecomposition:
     pairs: tuple[EigenPair, ...]
     residual: UnivariatePoly
 
-    def eigenvalues(self) -> list[Fraction]:
-        return [p.value for p in self.pairs]
-
-
-def _spend(remaining: int, steps: int) -> int:
-    remaining -= steps
-    if remaining < 0:
-        raise ResourceLimitError("rational root search exceeded the configured step budget")
-    return remaining
-
 
 def _divisors(n: int) -> list[int]:
     """Positive divisors of n != 0, by isqrt(|n|) trial divisions."""
@@ -285,9 +275,10 @@ def _rational_roots(p: UnivariatePoly, max_steps: int) -> tuple[list[tuple[Fract
         ints = [c * scale for c in q.coeffs]
         lead = int(ints[-1])
         const = int(ints[0])
-        budget = _spend(max_steps, math.isqrt(abs(const)) + math.isqrt(abs(lead)))
+        budget = _Budget(max_steps, "rational root search")
+        budget.spend(math.isqrt(abs(const)) + math.isqrt(abs(lead)))
         nums, dens = _divisors(const), _divisors(lead)
-        _spend(budget, 2 * len(nums) * len(dens))
+        budget.spend(2 * len(nums) * len(dens))
         candidates = sorted({Fraction(sign * num, den) for num in nums for den in dens for sign in (1, -1)})
         for cand in candidates:
             mult = 0

@@ -27,6 +27,9 @@ from .errors import ParseError
 from .polyring import Polynomial, VarContext
 
 _SYMBOLS = "+-*/^()"
+#: the digits of an integer literal: ASCII only, so that ``int`` never sees
+#: another script's digits or a superscript
+_DIGITS = frozenset("0123456789")
 
 #: deepest parenthesis nesting accepted (each level costs five Python frames)
 MAX_NESTING = 50
@@ -62,9 +65,9 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and (text[i].isalpha() or text[i] == "_"):
                 raise ParseError("implicit multiplication is not allowed (insert '*')", i)

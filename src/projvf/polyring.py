@@ -262,13 +262,6 @@ class Polynomial:
             {tuple(a + b for a, b in zip(mm, m)): cc * c for mm, cc in self._terms.items()},
         )
 
-    def monic(self) -> "Polynomial":
-        _, c = self.leading_term()
-        if c == 1:
-            return self
-        inv = 1 / c
-        return Polynomial._trusted(self.context, {m: v * inv for m, v in self._terms.items()})
-
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -369,23 +362,6 @@ def homogeneous_degree(p: Polynomial) -> Union[int, Literal["any"], None]:
     if len(degrees) == 1:
         return degrees.pop()
     return None
-
-
-def evaluate(p: Polynomial, point: Mapping[str, Union[Fraction, int]]) -> Fraction:
-    """Exact evaluation; every variable of the context must be assigned."""
-    ctx = p.context
-    missing = [n for n in ctx.names if n not in point]
-    if missing:
-        raise InputError(f"missing assignment for {', '.join(missing)}")
-    values = [Fraction(point[n]) for n in ctx.names]
-    total = Fraction(0)
-    for m, c in p._terms.items():
-        v = c
-        for e, x in zip(m, values):
-            if e:
-                v *= x**e
-        total += v
-    return total
 
 
 def substitute(p: Polynomial, assignment: Mapping[str, Union[Polynomial, Fraction, int]]) -> Polynomial:

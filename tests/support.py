@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import sub
 
-from projvf import Polynomial, RatMatrix, VarContext, monomials_of_degree, parse_rational
+from projvf import GroebnerBasis, InputError, Polynomial, RatMatrix, VarContext, monomials_of_degree
 
 
 def rand_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -58,7 +59,42 @@ def mul_vec(M: RatMatrix, v) -> tuple[Fraction, ...]:
 
 def matrix_from_strings(rows) -> RatMatrix:
     """Row-major matrix of rational strings (``p/q`` or ``p``)."""
-    return RatMatrix([[parse_rational(v) for v in row] for row in rows])
+    return RatMatrix([[Fraction(v) for v in row] for row in rows])
+
+
+# -- reference computations on Polynomial values -------------------------------
+
+
+def evaluate(p: Polynomial, point) -> Fraction:
+    """Exact value of p at ``point``, a mapping that assigns every variable of
+    the context."""
+    ctx = p.context
+    missing = [n for n in ctx.names if n not in point]
+    if missing:
+        raise InputError(f"missing assignment for {', '.join(missing)}")
+    values = [Fraction(point[n]) for n in ctx.names]
+    total = Fraction(0)
+    for m, c in p.items():
+        v = c
+        for e, x in zip(m, values):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """x^a f / lc(f) - x^b g / lc(g), where x^a lm(f) = x^b lm(g) =
+    lcm(lm(f), lm(g)), so that the leading terms cancel."""
+    mf, cf = f.leading_term()
+    mg, cg = g.leading_term()
+    lcm = tuple(map(max, mf, mg))
+    return f.mul_term(tuple(map(sub, lcm, mf)), 1 / cf) - g.mul_term(tuple(map(sub, lcm, mg)), 1 / cg)
+
+
+def contains_one(gb: GroebnerBasis) -> bool:
+    """Whether the reduced basis is {1}, that is, the ideal is the whole ring."""
+    return gb.basis == (gb.context.one(),)
 
 
 # -- independent sparse elimination over monomial-keyed dicts -----------------

@@ -21,7 +21,6 @@ from projvf import (
     check_vanishing_on_curve,
     coefficient_identity,
     degree_case_table,
-    evaluate,
     fano_genus,
     ideal_member,
     is_smooth_projective,
@@ -45,6 +44,7 @@ from projvf.verify import (
 from support import (
     brute_force_member,
     brute_force_stabilizer_dimension,
+    evaluate,
     rand_homogeneous,
     rand_matrix,
     rand_poly,

@@ -274,3 +274,9 @@ class TestIndexArithmetic:
             fano_genus(1, 1)
         with pytest.raises(InputError):
             fano_genus(3, 1)
+
+    @pytest.mark.parametrize("index, cube", [(-2, 1), (0, 5), (0, 2), (2, 0), (1, -2)])
+    def test_index_and_cube_must_be_positive(self, index, cube):
+        # (-2, 1) once gave genus -3 and (0, 5) genus 1
+        with pytest.raises(InputError, match="must be at least 1"):
+            fano_genus(index, cube)

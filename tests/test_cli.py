@@ -359,6 +359,24 @@ PINNED_ERRORS = [
         ["genus", "1", "1"], None, "error: index^3 * cube must be even for an integral genus\n", id="genus-parity"
     ),
     pytest.param(
+        ["genus", "-2", "1"], None, "error: the index and the generator cube must be at least 1\n", id="genus-index-negative"
+    ),
+    pytest.param(
+        ["genus", "0", "5"], None, "error: the index and the generator cube must be at least 1\n", id="genus-index-zero"
+    ),
+    pytest.param(
+        ["smooth"],
+        {"vars": ["x0", "x1"], "h": "x0 + x1^2"},
+        "error: hypersurface equations must be nonzero and homogeneous of degree >= 1\n",
+        id="smooth-inhomogeneous",
+    ),
+    pytest.param(
+        ["smooth"],
+        {"vars": ["x0", "x1"], "params": ["c"], "h": "c*x0^2 + x1^2"},
+        "error: hypersurface equations must be free of parameter variables\n",
+        id="smooth-parameters",
+    ),
+    pytest.param(
         ["smooth"], {"vars": ["x0", "x1"]}, "error: this subcommand needs the 'h' field in the problem file\n", id="no-h"
     ),
     pytest.param(
@@ -499,6 +517,32 @@ class TestRootSearchBudget:
         doc = {"vars": ["x0", "x1"], "D": [["0", "1"], ["-36", "0"]]}
         assert run(["zeros", problem(doc)]) == cli.EXIT_OK
         assert run(["zeros", "--max-steps", "10", problem(doc)]) == cli.EXIT_RESOURCE
+
+
+class TestMaxStepsFlag:
+    """Exactly the subcommands that run under a step budget take ``--max-steps``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["stabilizer", "FILE"], ["cone-shape", "FILE"], ["cases"], ["genus", "3", "2"], ["verify-paper"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unbudgeted_subcommands_reject_it(self, argv, problem, capsys):
+        argv = [problem(QUADRIC_PROBLEM) if a == "FILE" else a for a in argv]
+        assert run([*argv, "--max-steps", "1"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-steps" in captured.err
+
+    @pytest.mark.parametrize("command", ["gb", "member", "radical-member", "smooth", "zeros", "vanishes"])
+    def test_budgeted_subcommands_honour_it(self, command, problem, capsys):
+        path = problem(QUADRIC_PROBLEM)
+        assert run([command, path]) in (cli.EXIT_OK, cli.EXIT_NEGATIVE)
+        capsys.readouterr()
+        assert run([command, "--max-steps", "-1", path]) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("exceeded the configured step budget\n")
 
 
 def test_max_steps_help_names_both_budgets(capsys):

@@ -157,6 +157,14 @@ class TestRationalEigen:
         with pytest.raises(ResourceLimitError):
             rational_eigen(M, max_steps=24)
 
+    def test_negative_budget_is_spent_only_by_a_root_search(self):
+        # t^2 has only the root 0, which is split off before any search
+        eigen = rational_eigen(RatMatrix([[0, 1], [0, 0]]), max_steps=-1)
+        assert [(p.value, p.multiplicity) for p in eigen.pairs] == [(0, 2)]
+        assert eigen.residual == UnivariatePoly.of([1])
+        with pytest.raises(ResourceLimitError, match="^rational root search exceeded the configured step budget$"):
+            rational_eigen(RatMatrix([[0, 1], [-36, 0]]), max_steps=-1)
+
     def test_agrees_with_sympy_eigenvects(self):
         sympy = pytest.importorskip("sympy")
         t = sympy.Symbol("t")

@@ -90,6 +90,20 @@ class TestErrors:
             parse_poly("x0 ? x1", SMALL)
         assert err.value.position == 3
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("\u0663*x0", 0),  # ARABIC-INDIC DIGIT THREE once parsed as 3
+            ("x0^\u00b2", 3),  # SUPERSCRIPT TWO once read as an over-long literal
+            ("2\u00b2", 1),
+            ("x0 + 1\uff11", 6),  # FULLWIDTH DIGIT ONE
+        ],
+    )
+    def test_only_ascii_digits_form_integers(self, text, position):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_poly(text, SMALL)
+        assert err.value.position == position
+
 
 class TestLimits:
     def test_nesting_cap(self):

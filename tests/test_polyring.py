@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,6 @@ from projvf import (
     InputError,
     VarContext,
     coefficient_of,
-    evaluate,
     homogeneous_degree,
     monomials_of_degree,
     order_key,
@@ -15,12 +15,21 @@ from projvf import (
     partial_derivative,
     substitute,
 )
-from support import rand_homogeneous, rand_poly
+from support import evaluate, rand_homogeneous, rand_poly
 
 P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
 P4C = VarContext(("x0", "x1", "x2", "x3", "x4"), ("a", "c"))
 SMALL = VarContext(("x0", "x1", "x2"))
 QUADRIC = parse_poly("x0^2 + x1^2 + x2^2 + x3*x4", P4)
+
+
+def test_canonical_form_is_unique():
+    # polynomial equality compares coefficients structurally, which relies on this
+    assert Fraction(2, 4) == Fraction(1, 2)
+    assert Fraction(-3, -6) == Fraction(1, 2)
+    assert (Fraction(2, 4).numerator, Fraction(2, 4).denominator) == (1, 2)
+    assert Fraction(0, 5) == Fraction(0, 1)
+    assert Fraction(3, -6).denominator > 0
 
 
 def small_polys(ctx=SMALL):
