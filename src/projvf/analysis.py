@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .derivations import Derivation, euler_reduce, monomial_weight, weight_zero_monomials
 from .errors import InputError, ToolError
 from .ideals import DEFAULT_MAX_STEPS, Ideal, _check_hypersurface, is_smooth_projective, vanishes_on
-from .linalg import RatMatrix, kernel_basis, rref
+from .linalg import RatMatrix, kernel_basis
 from .polyring import (
     Monomial,
     Polynomial,
@@ -46,23 +46,6 @@ class StabilizerSolution:
     @property
     def dimension(self) -> int:
         return len(self.pairs)
-
-    def derivations(self) -> list[tuple[Derivation, Fraction]]:
-        out = []
-        for A, lam in self.pairs:
-            out.append((Derivation.from_rows(self.context, A.entries), lam))
-        return out
-
-    def spans(self, A: RatMatrix, lam: Fraction) -> bool:
-        """Whether the pair (A, lam) lies in the span of the basis."""
-        if not self.pairs:
-            return False
-        n = self.context.nproj
-        rows = [[*(m.entries[i][j] for i in range(n) for j in range(n)), l] for m, l in self.pairs]
-        target = [*(A.entries[i][j] for i in range(n) for j in range(n)), Fraction(lam)]
-        _, rank_basis = rref(RatMatrix(rows))
-        _, rank_stacked = rref(RatMatrix(rows + [target]))
-        return rank_basis == rank_stacked
 
 
 def stabilizer_algebra(h: Polynomial) -> StabilizerSolution:

@@ -20,7 +20,6 @@ from .polyring import (
     Monomial,
     Polynomial,
     VarContext,
-    order_key,
     partial_derivative,
     monomials_of_degree,
 )
@@ -71,16 +70,9 @@ class Derivation:
             rows[i][i] = _coerce_entry(ctx, w)
         return cls(ctx, tuple(tuple(row) for row in rows))
 
-    @classmethod
-    def euler(cls, ctx: VarContext) -> "Derivation":
-        return cls.diagonal(ctx, [1] * ctx.nproj)
-
     @property
     def size(self) -> int:
         return self.context.nproj
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
 
     def is_diagonal(self) -> bool:
         return all(not self.entries[i][j] for i in range(self.size) for j in range(self.size) if i != j)
@@ -184,9 +176,5 @@ def weight_zero_monomials(D: Derivation, degree: int) -> list[Monomial]:
     if any(not w.is_constant() for w in diag):
         raise InputError("weight-zero enumeration needs a rational diagonal")
     weights = [w.constant_value() for w in diag]
-    out = []
-    for m in monomials_of_degree(D.context, degree, projective_only=True):
-        if sum(w * e for w, e in zip(weights, m)) == 0:
-            out.append(m)
-    out.sort(key=order_key, reverse=True)
-    return out
+    monomials = monomials_of_degree(D.context, degree, projective_only=True)
+    return [m for m in monomials if sum(w * e for w, e in zip(weights, m)) == 0]

@@ -282,8 +282,6 @@ def _groebner(
 
     while heap:
         lcm, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         lcm_z, mask = lcm + pk.zero, pk.mask
         if lcm_z == rows[i][0] + rows[j][0]:  # coprime leading monomials

@@ -34,9 +34,6 @@ class UnivariatePoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_one(self) -> bool:
         return self.coeffs == (Fraction(1),)
 
@@ -45,15 +42,6 @@ class UnivariatePoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        if self.is_zero() or other.is_zero():
-            return UnivariatePoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UnivariatePoly.of(out)
 
     def deflate(self, root: Fraction) -> "UnivariatePoly":
         """Divide by (t - root); the root must be exact."""
@@ -101,55 +89,8 @@ class RatMatrix:
         self.rows = len(grid)
         self.cols = len(grid[0])
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "RatMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise InputError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatMatrix([[v * other for v in row] for row in self.entries])
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise InputError("matrix shapes do not allow multiplication")
-        cols = list(zip(*other.entries))
-        return RatMatrix(
-            [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in self.entries]
-        )
-
-    __rmul__ = __mul__
-
-    def _same_shape(self, other: "RatMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("matrix shapes differ")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
@@ -213,20 +154,28 @@ def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def char_poly(M: RatMatrix) -> UnivariatePoly:
-    """Characteristic polynomial det(tI - M), monic, by the Faddeev-LeVerrier recurrence."""
-    if not M.is_square():
+    """Characteristic polynomial det(tI - M), monic, by the Faddeev-LeVerrier recurrence.
+
+    The recurrence runs on the integer matrix A = den*M, den the lcm of M's
+    denominators: N_1 = I, c_k = -tr(A N_k)/k, N_(k+1) = A N_k + c_k I. The
+    c_k are the integer coefficients of det(tI - A), so each division is
+    exact, and the coefficient of t^(n-k) in det(tI - M) is c_k/den^k.
+    """
+    if M.rows != M.cols:
         raise InputError("characteristic polynomial of a non-square matrix")
     n = M.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    N = RatMatrix.identity(n)
+    den = math.lcm(*(v.denominator for row in M.entries for v in row))
+    A = [[v.numerator * (den // v.denominator) for v in row] for row in M.entries]
+    N = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [Fraction(1)]
     for k in range(1, n + 1):
-        MN = M * N
-        c = -MN.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            N = MN + RatMatrix.identity(n) * c
-    return UnivariatePoly.of(coeffs)
+        AN = [[sum(a * b for a, b in zip(row, col)) for col in zip(*N)] for row in A]
+        c = -sum(AN[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(c, den**k))
+        for i in range(n):
+            AN[i][i] += c
+        N = AN
+    return UnivariatePoly.of(reversed(coeffs))
 
 
 @dataclass(frozen=True)
@@ -302,8 +251,8 @@ def rational_eigen(M: RatMatrix, max_steps: int = DEFAULT_MAX_STEPS) -> EigenDec
     p = char_poly(M)
     roots, residual = _rational_roots(p, max_steps)
     pairs = []
-    n = M.rows
     for value, mult in roots:
-        space = kernel_basis(M - RatMatrix.identity(n) * value)
+        shifted = [[v - value if i == j else v for j, v in enumerate(row)] for i, row in enumerate(M.entries)]
+        space = kernel_basis(RatMatrix(shifted))
         pairs.append(EigenPair(value=value, space=tuple(space), multiplicity=mult))
     return EigenDecomposition(pairs=tuple(pairs), residual=residual)

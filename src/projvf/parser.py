@@ -20,6 +20,7 @@ Every error carries the offset of the offending character.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,11 @@ from .polyring import Polynomial, VarContext
 _SYMBOLS = "+-*/^()"
 #: the digits of an integer literal: ASCII only, so that ``int`` never sees
 #: another script's digits or a superscript
-_DIGITS = frozenset("0123456789")
+_DIGITS = frozenset(string.digits)
+#: the characters of a name: ASCII only, as VarContext requires, so that a
+#: letter or digit of another script is an unexpected character where it stands
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 #: deepest parenthesis nesting accepted (each level costs five Python frames)
 MAX_NESTING = 50
@@ -69,13 +74,13 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < n and text[i] in _DIGITS:
                 i += 1
-            if i < n and (text[i].isalpha() or text[i] == "_"):
+            if i < n and text[i] in _NAME_START:
                 raise ParseError("implicit multiplication is not allowed (insert '*')", i)
             tokens.append(Token("int", text[start:i], start))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _NAME_CHARS:
                 i += 1
             tokens.append(Token("name", text[start:i], start))
             continue

@@ -11,7 +11,17 @@ import random
 from fractions import Fraction
 from operator import sub
 
-from projvf import GroebnerBasis, InputError, Polynomial, RatMatrix, VarContext, monomials_of_degree
+from projvf import (
+    Derivation,
+    GroebnerBasis,
+    InputError,
+    Polynomial,
+    RatMatrix,
+    UnivariatePoly,
+    VarContext,
+    monomials_of_degree,
+    rref,
+)
 
 
 def rand_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -60,6 +70,60 @@ def mul_vec(M: RatMatrix, v) -> tuple[Fraction, ...]:
 def matrix_from_strings(rows) -> RatMatrix:
     """Row-major matrix of rational strings (``p/q`` or ``p``)."""
     return RatMatrix([[Fraction(v) for v in row] for row in rows])
+
+
+# -- reference matrix and polynomial arithmetic --------------------------------
+
+
+def zeros(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix([[0] * cols for _ in range(rows)])
+
+
+def diagonal(values) -> RatMatrix:
+    n = len(values)
+    return RatMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def identity(n: int) -> RatMatrix:
+    return diagonal([1] * n)
+
+
+def mat_add(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    assert (A.rows, A.cols) == (B.rows, B.cols), "matrix shapes differ"
+    return RatMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(A.entries, B.entries)])
+
+
+def mat_scale(A: RatMatrix, c) -> RatMatrix:
+    return RatMatrix([[v * c for v in row] for row in A.entries])
+
+
+def mat_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    assert A.cols == B.rows, "matrix shapes do not allow multiplication"
+    cols = list(zip(*B.entries))
+    return RatMatrix([[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in A.entries])
+
+
+def poly_mul(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
+    """The product of two polynomials in t, by the schoolbook convolution."""
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return UnivariatePoly.of(out)
+
+
+def spans(sol, A: RatMatrix, lam) -> bool:
+    """Whether the pair (A, lam) lies in the span of a stabilizer solution's basis."""
+    if not sol.pairs:
+        return False
+    rows = [[*(v for row in m.entries for v in row), c] for m, c in sol.pairs]
+    target = [*(v for row in A.entries for v in row), Fraction(lam)]
+    return rref(RatMatrix(rows))[1] == rref(RatMatrix(rows + [target]))[1]
+
+
+def euler(ctx: VarContext) -> Derivation:
+    """The Euler derivation sum_i x_i d/dx_i, whose matrix is the identity."""
+    return Derivation.diagonal(ctx, [1] * ctx.nproj)
 
 
 # -- reference computations on Polynomial values -------------------------------

@@ -27,7 +27,7 @@ from projvf import (
     Polynomial,
     UnivariatePoly,
 )
-from support import brute_force_stabilizer_dimension, rand_fraction
+from support import brute_force_stabilizer_dimension, euler, identity, mat_mul, rand_fraction, spans
 
 P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
 QUADRIC = parse_poly("x0^2 + x1^2 + x2^2 + x3*x4", P4)
@@ -59,14 +59,15 @@ class TestStabilizer:
 
     def test_every_pair_satisfies_the_equation(self):
         sol = stabilizer_algebra(QUADRIC)
-        for D, lam in sol.derivations():
+        for A, lam in sol.pairs:
+            D = Derivation.from_rows(P4, A.entries)
             assert D(QUADRIC) == lam * QUADRIC
 
     def test_euler_pair_in_span(self):
         for h, degree in ((QUADRIC, 2), (FERMAT3, 3)):
             sol = stabilizer_algebra(h)
-            assert sol.spans(RatMatrix.identity(5), Fraction(degree))
-            assert not sol.spans(RatMatrix.identity(5), Fraction(degree + 1))
+            assert spans(sol, identity(5), Fraction(degree))
+            assert not spans(sol, identity(5), Fraction(degree + 1))
 
     @pytest.mark.parametrize("seed", [7, 19, 23])
     def test_dimension_invariant_under_coordinate_change(self, seed):
@@ -77,7 +78,7 @@ class TestStabilizer:
             for j in range(i + 1, 5):
                 upper[i][j] = Fraction(rng.randint(-2, 2))
                 lower[j][i] = Fraction(rng.randint(-2, 2))
-        M = RatMatrix(upper) * RatMatrix(lower)  # determinant one, invertible
+        M = mat_mul(RatMatrix(upper), RatMatrix(lower))  # determinant one, invertible
         images = {
             name: sum((M.entries[i][j] * P4.variable(P4.projective[j]) for j in range(5)), P4.zero())
             for i, name in enumerate(P4.projective)
@@ -107,10 +108,10 @@ class TestStructuredDerivation:
 
     def test_shape(self):
         D = structured_derivation(P4, (1, 2, 3, 4), 9)
-        assert D.entry(3, 3) == P4.one()
-        assert [str(D.entry(4, j)) for j in range(5)] == ["1", "2", "3", "4", "9"]
+        assert D.entries[3][3] == P4.one()
+        assert [str(D.entries[4][j]) for j in range(5)] == ["1", "2", "3", "4", "9"]
         for i in range(3):
-            assert all(not D.entry(i, j) for j in range(5))
+            assert all(not D.entries[i][j] for j in range(5))
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(InputError):
@@ -217,7 +218,7 @@ class TestVanishingVerdict:
         assert v.failures == ()
 
     def test_euler_degenerate_witness(self):
-        v = check_vanishing_on_curve(QUADRIC, Derivation.euler(P4), CURVE)
+        v = check_vanishing_on_curve(QUADRIC, euler(P4), CURVE)
         assert (v.stabilizes, v.smooth, v.vanishes_on_curve) == (True, True, True)
         assert v.scaling == 2 and v.euler_witness
 

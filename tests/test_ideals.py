@@ -29,7 +29,17 @@ from projvf import (
     zero_locus_ideal,
 )
 from projvf import ideals
-from support import brute_force_member, contains_one, evaluate, rand_homogeneous, rand_poly, s_polynomial
+from support import (
+    brute_force_member,
+    contains_one,
+    euler,
+    evaluate,
+    identity,
+    mat_mul,
+    rand_homogeneous,
+    rand_poly,
+    s_polynomial,
+)
 
 P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
 P3 = VarContext(("x0", "x1", "x2", "x3"))
@@ -786,7 +796,7 @@ class TestTrustedConstruction:
 
 class TestZeroLocus:
     def test_euler_field_vanishes_everywhere(self):
-        locus = zero_locus_ideal(Derivation.euler(P4))
+        locus = zero_locus_ideal(euler(P4))
         assert locus.is_zero()
 
     def test_quadric_field_components(self):
@@ -824,13 +834,13 @@ class TestZeroLocus:
             A[i][i] = Fraction(w)
         if shear is not None:
             i, j = shear
-            P = RatMatrix.identity(5).entries
+            P = identity(5).entries
             P = [list(r) for r in P]
             P[i][j] += 1
             Pm = RatMatrix(P)
             P[i][j] -= 2
             Pinv = RatMatrix(P)
-            A = (Pm * RatMatrix(A) * Pinv).entries
+            A = mat_mul(mat_mul(Pm, RatMatrix(A)), Pinv).entries
         D = Derivation.from_rows(P4, A)
         locus = zero_locus_ideal(D)
         eigen = rational_eigen(RatMatrix(A).transpose())
@@ -862,7 +872,7 @@ class TestVanishesOn:
         assert vanishes_on(FIELD, CURVE)
 
     def test_euler_vanishes_on_anything(self):
-        assert vanishes_on(Derivation.euler(P4), ideal_of(P4, "x0"))
+        assert vanishes_on(euler(P4), ideal_of(P4, "x0"))
 
     def test_failure_with_witness_point(self):
         hyperplane = ideal_of(P4, "x0")

@@ -14,17 +14,29 @@ from projvf import (
     rational_eigen,
     rref,
 )
-from support import matrix_from_strings, mul_vec, rand_matrix
+from support import (
+    diagonal,
+    identity,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    matrix_from_strings,
+    mul_vec,
+    poly_mul,
+    rand_fraction,
+    rand_matrix,
+    zeros,
+)
 
 
 class TestRref:
     def test_identity(self):
-        M = RatMatrix.identity(4)
+        M = identity(4)
         R, rank = rref(M)
         assert R == M and rank == 4
 
     def test_zero(self):
-        M = RatMatrix.zeros(3, 3)
+        M = zeros(3, 3)
         R, rank = rref(M)
         assert R == M and rank == 0
 
@@ -35,7 +47,7 @@ class TestRref:
 
 class TestKernel:
     def test_zero_matrix(self):
-        basis = kernel_basis(RatMatrix.zeros(3, 3))
+        basis = kernel_basis(zeros(3, 3))
         assert basis == [
             (1, 0, 0),
             (0, 1, 0),
@@ -43,7 +55,7 @@ class TestKernel:
         ]
 
     def test_identity(self):
-        assert kernel_basis(RatMatrix.identity(3)) == []
+        assert kernel_basis(identity(3)) == []
 
     def test_single_row(self):
         basis = kernel_basis(RatMatrix([[1, 1, 0]]))
@@ -69,35 +81,67 @@ class TestKernel:
 class TestCharPoly:
     def test_weight_diagonal(self):
         # t^3 (t-1)(t+1) = t^5 - t^3
-        M = RatMatrix.diagonal([0, 0, 0, 1, -1])
+        M = diagonal([0, 0, 0, 1, -1])
         assert char_poly(M) == UnivariatePoly.of([0, 0, 0, -1, 0, 1])
 
     def test_identity(self):
-        assert char_poly(RatMatrix.identity(2)) == UnivariatePoly.of([1, -2, 1])
+        assert char_poly(identity(2)) == UnivariatePoly.of([1, -2, 1])
 
     def test_zero(self):
-        assert char_poly(RatMatrix.zeros(4, 4)) == UnivariatePoly.of([0, 0, 0, 0, 1])
+        assert char_poly(zeros(4, 4)) == UnivariatePoly.of([0, 0, 0, 0, 1])
 
     def test_non_square(self):
-        with pytest.raises(InputError):
-            char_poly(RatMatrix.zeros(2, 3))
+        with pytest.raises(InputError, match="^characteristic polynomial of a non-square matrix$"):
+            char_poly(zeros(2, 3))
 
     @given(st.integers(0, 10**9), st.integers(1, 4))
     @settings(max_examples=80)
     def test_cayley_hamilton(self, seed, n):
         M = RatMatrix(rand_matrix(random.Random(seed), n, n))
         p = char_poly(M)
-        acc = RatMatrix.zeros(n, n)
-        power = RatMatrix.identity(n)
+        acc = zeros(n, n)
+        power = identity(n)
         for c in p.coeffs:
-            acc = acc + power * c
-            power = power * M
-        assert acc == RatMatrix.zeros(n, n)
+            acc = mat_add(acc, mat_scale(power, c))
+            power = mat_mul(power, M)
+        assert acc == zeros(n, n)
+
+    def test_cayley_hamilton_with_denominators(self):
+        for M in rational_corpus():
+            n = M.rows
+            acc = zeros(n, n)
+            power = identity(n)
+            for c in char_poly(M).coeffs:
+                acc = mat_add(acc, mat_scale(power, c))
+                power = mat_mul(power, M)
+            assert acc == zeros(n, n)
+
+    def test_agrees_with_sympy_charpoly(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for M in rational_corpus():
+            theirs = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in M.entries])
+            expected = [Fraction(int(c.p), int(c.q)) for c in reversed(theirs.charpoly(t).all_coeffs())]
+            assert char_poly(M) == UnivariatePoly.of(expected)
+
+
+def rational_corpus():
+    """Six seeded matrices of each size 1x1 to 7x7, with entries p/q, |p| <= 9
+    and 1 <= q <= 9, and at least two distinct denominators above 1 (one for a
+    1x1), so that the integer recurrence must rescale its coefficients by den^k."""
+    rng = random.Random(2718)
+    corpus = []
+    for n in range(1, 8):
+        while len(corpus) < 6 * n:
+            M = RatMatrix([[rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+            if len({v.denominator for row in M.entries for v in row} - {1}) >= min(n, 2):
+                corpus.append(M)
+    return corpus
 
 
 class TestRationalEigen:
     def test_weight_diagonal(self):
-        M = RatMatrix.diagonal([0, 0, 0, 1, -1])
+        M = diagonal([0, 0, 0, 1, -1])
         eigen = rational_eigen(M)
         assert eigen.residual.is_one()
         by_value = {p.value: p for p in eigen.pairs}
@@ -112,7 +156,7 @@ class TestRationalEigen:
         assert eigen.residual == UnivariatePoly.of([1, 0, 1])
 
     def test_line_pair_diagonal(self):
-        eigen = rational_eigen(RatMatrix.diagonal([0, 0, 1, 1]))
+        eigen = rational_eigen(diagonal([0, 0, 1, 1]))
         dims = {p.value: len(p.space) for p in eigen.pairs}
         assert dims == {Fraction(0): 2, Fraction(1): 2}
 
@@ -128,7 +172,7 @@ class TestRationalEigen:
         total_mult = sum(p.multiplicity for p in eigen.pairs)
         assert total_mult + max(eigen.residual.degree, 0) == n
         for pair in eigen.pairs:
-            shifted = M - RatMatrix.identity(n) * pair.value
+            shifted = mat_add(M, mat_scale(identity(n), -pair.value))
             assert pair.space
             for v in pair.space:
                 assert mul_vec(shifted, v) == (Fraction(0),) * n
@@ -140,11 +184,11 @@ class TestRationalEigen:
     def test_factorisation_reconstructs_char_poly(self, seed, n):
         M = RatMatrix(rand_matrix(random.Random(seed), n, n, span=3))
         eigen = rational_eigen(M)
-        product = eigen.residual if not eigen.residual.is_zero() else UnivariatePoly.of([1])
+        product = eigen.residual if eigen.residual.coeffs else UnivariatePoly.of([1])
         for pair in eigen.pairs:
             linear = UnivariatePoly.of([-pair.value, 1])
             for _ in range(pair.multiplicity):
-                product = product * linear
+                product = poly_mul(product, linear)
         assert product == char_poly(M)
 
     def test_root_search_runs_under_the_step_budget(self):

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projvf import ParseError, Polynomial, VarContext, parse_poly, parser
+from projvf import ParseError, Polynomial, VarContext, cli, parse_poly, parser
 from projvf.parser import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_NESTING
 from support import rand_poly
 
@@ -103,6 +104,27 @@ class TestErrors:
         with pytest.raises(ParseError, match="unexpected character") as err:
             parse_poly(text, SMALL)
         assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, char, position",
+        [
+            ("x0\u00b2", "\u00b2", 2),  # SUPERSCRIPT TWO once continued the name x0
+            ("x\u0663", "\u0663", 1),  # ARABIC-INDIC DIGIT THREE once continued the name x
+            ("\u00e9", "\u00e9", 0),  # a non-ASCII letter once started a name
+            ("x0 + x1\u00e9", "\u00e9", 7),
+            ("3\u00e9", "\u00e9", 1),  # once read as implicit multiplication
+        ],
+    )
+    def test_only_ascii_characters_form_names(self, text, char, position, tmp_path, capsys):
+        with pytest.raises(ParseError, match=f"^unexpected character {char!r}") as err:
+            parse_poly(text, SMALL)
+        assert err.value.position == position
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"vars": list(SMALL.names), "h": text}), encoding="utf-8")
+        assert cli.run(["smooth", str(path)]) == cli.EXIT_INPUT == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unexpected character {char!r} (at position {position})" in captured.err
 
 
 class TestLimits:
