@@ -66,7 +66,7 @@ def stabilizer_algebra(h: Polynomial) -> StabilizerSolution:
         for j in range(n):
             columns.append(partials[j].mul_term(xi, 1))
     columns.append(-h)
-    monomials = sorted({m for p in columns for m in p.monomials()}, key=order_key, reverse=True)
+    monomials = sorted({m for p in columns for m in p._terms}, key=order_key, reverse=True)
     matrix = RatMatrix([[p.coefficient(m) for p in columns] for m in monomials])
     pairs = []
     for vec in kernel_basis(matrix):
@@ -209,9 +209,7 @@ def coefficient_identity(d: int) -> CoefficientIdentityReport:
         raise InputError("coefficient identities are stated for degrees 2, 3 and 4")
     proj = ("x0", "x1", "x2", "x3", "x4")
     plain = VarContext(proj)
-    cone_monos = [
-        m for m in monomials_of_degree(plain, d, projective_only=True) if m[3] == 0 or m[4] > 0
-    ]
+    cone_monos = [m for m in monomials_of_degree(plain, d) if m[3] == 0 or m[4] > 0]
     top_exp = plain.monomial({"x3": d - 1, "x4": 1})
     others = [m for m in cone_monos if m != top_exp]
     params = ("c", "a", "s0", "s1", "s2", "s3") + tuple(f"b{k}" for k in range(len(others)))
@@ -355,11 +353,11 @@ def check_vanishing_on_curve(
     else:
         m, c = h.leading_term()
         candidate = Dh.coefficient(m) / c
-        if Dh == h * candidate:
+        diff = Dh - h * candidate
+        if not diff:
             stabilizes, scaling = True, candidate
         else:
             stabilizes, scaling = False, None
-            diff = Dh - h * candidate
             witness = diff.leading_term()[0]
             failures.append(
                 f"stabilizes: derivative differs from every scalar multiple at {h.context.monomial_str(witness)}"

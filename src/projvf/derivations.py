@@ -120,10 +120,6 @@ class Derivation:
 
     __call__ = apply
 
-    def to_strings(self) -> list[list[str]]:
-        """Row-major text form of the entry matrix."""
-        return [[str(p) for p in row] for row in self.entries]
-
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"
 
@@ -176,5 +172,5 @@ def weight_zero_monomials(D: Derivation, degree: int) -> list[Monomial]:
     if any(not w.is_constant() for w in diag):
         raise InputError("weight-zero enumeration needs a rational diagonal")
     weights = [w.constant_value() for w in diag]
-    monomials = monomials_of_degree(D.context, degree, projective_only=True)
+    monomials = monomials_of_degree(D.context, degree)
     return [m for m in monomials if sum(w * e for w, e in zip(weights, m)) == 0]

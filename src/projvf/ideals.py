@@ -368,9 +368,7 @@ def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
     """The unique reduced Groebner basis of I for the global order."""
     _require_parameter_free(I.generators, "Groebner basis generators")
     budget = _Budget(max_steps)
-    if I.is_zero():
-        return GroebnerBasis(context=I.context, basis=())
-    pk = _Packing(I.context.nvars, 2 * max(map(_degree, I.generators)))
+    pk = _Packing(I.context.nvars, 2 * max(map(_degree, I.generators), default=0))
     pk, reduced = _groebner(pk, [_row(_primitive(pk.terms(g))) for g in I.generators], budget)
     return GroebnerBasis(context=I.context, basis=tuple(_monic(terms, pk, I.context) for terms in reduced))
 
@@ -484,13 +482,10 @@ def zero_locus_ideal(D: Derivation) -> Ideal:
     A = D.constant_entries()
     ctx = D.context
     n = D.size
-    xs = [ctx.variable(name) for name in ctx.projective]
-    # j-th coordinate of A^T x
-    v = [sum((xs[i] * A[i][j] for i in range(n)), ctx.zero()) for j in range(n)]
-    minors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            minors.append(xs[i] * v[j] - xs[j] * v[i])
+    units = [ctx.monomial({name: 1}) for name in ctx.projective]
+    # j-th coordinate of A^T x, and each minor x_i v_j - x_j v_i by monomial shifts
+    v = [Polynomial(ctx, {units[i]: A[i][j] for i in range(n)}) for j in range(n)]
+    minors = [v[j].mul_term(units[i], 1) - v[i].mul_term(units[j], 1) for i in range(n) for j in range(i + 1, n)]
     return Ideal.spanned_by(ctx, minors)
 
 

@@ -138,9 +138,6 @@ class Polynomial:
         """Terms sorted descending in the global monomial order."""
         return sorted(self._terms.items(), key=lambda t: order_key(t[0]), reverse=True)
 
-    def monomials(self) -> list[Monomial]:
-        return [m for m, _ in self.items()]
-
     def coefficient(self, m: Monomial) -> Fraction:
         """Raw coefficient of the exact monomial ``m`` (zero if absent)."""
         return self._terms.get(m, Fraction(0))
@@ -386,11 +383,12 @@ def substitute(p: Polynomial, assignment: Mapping[str, Union[Polynomial, Fractio
     return result
 
 
-def monomials_of_degree(ctx: VarContext, degree: int, projective_only: bool = True) -> list[Monomial]:
-    """All monomials of the given total degree, sorted descending in the order."""
+def monomials_of_degree(ctx: VarContext, degree: int) -> list[Monomial]:
+    """All projective monomials of the given degree (parameter exponents 0),
+    sorted descending in the order."""
     if degree < 0:
         raise InputError("degree must be nonnegative")
-    width = ctx.nproj if projective_only else ctx.nvars
+    width = ctx.nproj
     pad = (0,) * (ctx.nvars - width)
     out = []
     for bars in itertools.combinations(range(degree + width - 1), width - 1):

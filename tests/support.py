@@ -14,6 +14,7 @@ from operator import sub
 from projvf import (
     Derivation,
     GroebnerBasis,
+    Ideal,
     InputError,
     Polynomial,
     RatMatrix,
@@ -22,6 +23,10 @@ from projvf import (
     monomials_of_degree,
     rref,
 )
+
+#: test-only contexts; the paper's fixtures live in projvf.verify
+SMALL = VarContext(("x0", "x1", "x2"))
+P4C = VarContext(("x0", "x1", "x2", "x3", "x4"), ("a", "c"))
 
 
 def rand_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -48,7 +53,7 @@ def rand_poly(
 
 
 def rand_homogeneous(rng: random.Random, ctx: VarContext, degree: int, max_terms: int = 4) -> Polynomial:
-    monos = monomials_of_degree(ctx, degree, projective_only=True)
+    monos = monomials_of_degree(ctx, degree)
     terms = {}
     for m in rng.sample(monos, min(max_terms, len(monos))):
         c = rand_fraction(rng)
@@ -124,6 +129,17 @@ def spans(sol, A: RatMatrix, lam) -> bool:
 def euler(ctx: VarContext) -> Derivation:
     """The Euler derivation sum_i x_i d/dx_i, whose matrix is the identity."""
     return Derivation.diagonal(ctx, [1] * ctx.nproj)
+
+
+def zero_locus_reference(D: Derivation) -> Ideal:
+    """The 2x2 minors x_i v_j - x_j v_i of the rows x and v = A^T x, for the
+    constant entry matrix A of D, built from full Polynomial products."""
+    A = D.constant_entries()
+    ctx = D.context
+    n = D.size
+    xs = [ctx.variable(name) for name in ctx.projective]
+    v = [sum((xs[i] * A[i][j] for i in range(n)), ctx.zero()) for j in range(n)]
+    return Ideal.spanned_by(ctx, [xs[i] * v[j] - xs[j] * v[i] for i in range(n) for j in range(i + 1, n)])
 
 
 # -- reference computations on Polynomial values -------------------------------
@@ -205,6 +221,12 @@ def dict_rows_rank(rows) -> int:
     return len(basis)
 
 
+def all_monomials(ctx: VarContext, degree: int) -> list:
+    """Every monomial of the given total degree in all of the context's
+    variables, parameters included, sorted descending in the order."""
+    return monomials_of_degree(VarContext(ctx.names), degree)
+
+
 def brute_force_stabilizer_dimension(h: Polynomial) -> int:
     """Independent stabilizer count: corank of the full coefficient-matching
     system over every monomial of the right degree, eliminated locally."""
@@ -212,7 +234,7 @@ def brute_force_stabilizer_dimension(h: Polynomial) -> int:
 
     ctx = h.context
     n = ctx.nproj
-    degree = max(sum(m[:n]) for m in h.monomials())
+    degree = max(sum(m[:n]) for m, _ in h.items())
     columns = []
     for i in range(n):
         xi = ctx.monomial({ctx.projective[i]: 1})
@@ -247,7 +269,7 @@ def brute_force_member(f: Polynomial, generators, extra_degree: int = 4) -> bool
     stable = 0
     bound = floor + extra_degree
     for b in range(bound + 1):
-        for m in monomials_of_degree(ctx, b, projective_only=False):
+        for m in all_monomials(ctx, b):
             for g in gens:
                 echelon_insert(basis, poly_row(g.mul_term(m, 1)))
         if in_span(basis, target):

@@ -33,6 +33,7 @@ from projvf import (
 )
 from projvf.verify import CHECKS, FERMAT, LINE_FIELD, P3, QUADRIC
 from support import (
+    SMALL,
     brute_force_member,
     brute_force_stabilizer_dimension,
     evaluate,
@@ -160,27 +161,26 @@ def test_c08_smoothness_criterion(capsys):
 def test_c09_groebner_oracle_equivalence(capsys):
     with criterion(capsys, 9, "ideal membership agrees with the truncated linear oracle", limit=60.0):
         rng = random.Random(90125)
-        ctx = VarContext(("x0", "x1", "x2", "x3"))
         ideals = 0
         queries = 0
         while ideals < 24:
             gens = [
-                rand_poly(rng, ctx, max_degree=rng.randint(1, 3), max_terms=3)
+                rand_poly(rng, P3, max_degree=rng.randint(1, 3), max_terms=3)
                 for _ in range(rng.randint(1, 3))
             ]
             gens = [g for g in gens if g]
             if not gens:
                 continue
-            ideal = Ideal.spanned_by(ctx, gens)
+            ideal = Ideal.spanned_by(P3, gens)
             ideals += 1
             for _ in range(5):
                 if rng.random() < 0.5:
                     f = sum(
-                        (rand_poly(rng, ctx, max_degree=1, max_terms=2) * g for g in gens),
-                        ctx.zero(),
+                        (rand_poly(rng, P3, max_degree=1, max_terms=2) * g for g in gens),
+                        P3.zero(),
                     )
                 else:
-                    f = rand_poly(rng, ctx, max_degree=3, max_terms=3)
+                    f = rand_poly(rng, P3, max_degree=3, max_terms=3)
                 expected = brute_force_member(f, gens)
                 assert ideal_member(f, ideal) == expected
                 queries += 1
@@ -196,24 +196,23 @@ def test_c10_stabilizer_dimensions(capsys):
 
 def test_c11_property_suites(capsys):
     with criterion(capsys, 11, "five randomized property suites, 200 cases each", limit=60.0):
-        small = VarContext(("x0", "x1", "x2"))
         params = VarContext(("x0", "x1"), ("a", "c"))
 
         rng = random.Random(11_01)
         for _ in range(200):  # Leibniz rule
-            p = rand_poly(rng, small, max_degree=3, max_terms=3)
-            q = rand_poly(rng, small, max_degree=3, max_terms=3)
-            var = rng.choice(small.projective)
+            p = rand_poly(rng, SMALL, max_degree=3, max_terms=3)
+            q = rand_poly(rng, SMALL, max_degree=3, max_terms=3)
+            var = rng.choice(SMALL.projective)
             lhs = partial_derivative(p * q, var)
             assert lhs == partial_derivative(p, var) * q + p * partial_derivative(q, var)
 
         rng = random.Random(11_02)
         for _ in range(200):  # Euler identity
             degree = rng.randint(1, 4)
-            p = rand_homogeneous(rng, small, degree)
-            total = small.zero()
-            for v in small.projective:
-                total = total + small.variable(v) * partial_derivative(p, v)
+            p = rand_homogeneous(rng, SMALL, degree)
+            total = SMALL.zero()
+            for v in SMALL.projective:
+                total = total + SMALL.variable(v) * partial_derivative(p, v)
             assert total == degree * p
 
         rng = random.Random(11_03)
@@ -229,18 +228,18 @@ def test_c11_property_suites(capsys):
 
         rng = random.Random(11_04)
         for _ in range(200):  # reduced-basis uniqueness under permutation
-            gens = [rand_poly(rng, small, max_degree=2, max_terms=3) for _ in range(2)]
+            gens = [rand_poly(rng, SMALL, max_degree=2, max_terms=3) for _ in range(2)]
             gens = [g for g in gens if g]
             if not gens:
                 continue
             results = {
-                tuple(str(p) for p in buchberger(Ideal.spanned_by(small, perm)).basis)
+                tuple(str(p) for p in buchberger(Ideal.spanned_by(SMALL, perm)).basis)
                 for perm in itertools.permutations(gens)
             }
             assert len(results) == 1
 
         rng = random.Random(11_05)
         for _ in range(200):  # parse/print round trip
-            ctx = params if rng.random() < 0.5 else small
+            ctx = params if rng.random() < 0.5 else SMALL
             p = rand_poly(rng, ctx, max_degree=4, max_terms=5, projective_only=False)
             assert parse_poly(str(p), ctx) == p

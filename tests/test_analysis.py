@@ -27,15 +27,8 @@ from projvf import (
     Polynomial,
     UnivariatePoly,
 )
+from projvf.verify import FERMAT, P4, QUADRIC, QUADRIC_CURVE as CURVE, QUADRIC_FIELD as FIELD
 from support import brute_force_stabilizer_dimension, euler, identity, mat_mul, rand_fraction, spans
-
-P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
-QUADRIC = parse_poly("x0^2 + x1^2 + x2^2 + x3*x4", P4)
-FERMAT3 = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3", P4)
-FIELD = Derivation.diagonal(P4, (0, 0, 0, 1, -1))
-CURVE = Ideal.spanned_by(
-    P4, (parse_poly("x0^2 + x1^2 + x2^2", P4), parse_poly("x3", P4), parse_poly("x4", P4))
-)
 
 
 class TestStabilizer:
@@ -53,9 +46,9 @@ class TestStabilizer:
         assert brute_force_stabilizer_dimension(QUADRIC) == 11
 
     def test_diagonal_cubic_dimension(self):
-        sol = stabilizer_algebra(FERMAT3)
+        sol = stabilizer_algebra(FERMAT[3])
         assert sol.dimension == 1
-        assert brute_force_stabilizer_dimension(FERMAT3) == 1
+        assert brute_force_stabilizer_dimension(FERMAT[3]) == 1
 
     def test_every_pair_satisfies_the_equation(self):
         sol = stabilizer_algebra(QUADRIC)
@@ -64,7 +57,7 @@ class TestStabilizer:
             assert D(QUADRIC) == lam * QUADRIC
 
     def test_euler_pair_in_span(self):
-        for h, degree in ((QUADRIC, 2), (FERMAT3, 3)):
+        for h, degree in ((QUADRIC, 2), (FERMAT[3], 3)):
             sol = stabilizer_algebra(h)
             assert spans(sol, identity(5), Fraction(degree))
             assert not spans(sol, identity(5), Fraction(degree + 1))
@@ -226,7 +219,7 @@ class TestVanishingVerdict:
         curve = Ideal.spanned_by(
             P4, (parse_poly("x0^3 + x1^3 + x2^3", P4), parse_poly("x3", P4), parse_poly("x4", P4))
         )
-        v = check_vanishing_on_curve(FERMAT3, Derivation.diagonal(P4, (0, 0, 0, 1, -2)), curve)
+        v = check_vanishing_on_curve(FERMAT[3], Derivation.diagonal(P4, (0, 0, 0, 1, -2)), curve)
         assert not v.stabilizes
         assert v.scaling is None
         assert any(f.startswith("stabilizes") for f in v.failures)

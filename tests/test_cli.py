@@ -14,19 +14,8 @@ BENCH_DIR = os.path.join(ROOT, "bench")
 with open(os.path.join(BENCH_DIR, "paper_cli_expected.json"), encoding="utf-8") as _fh:
     RECORDED = json.load(_fh)["cases"]
 
-QUADRIC_PROBLEM = {
-    "vars": ["x0", "x1", "x2", "x3", "x4"],
-    "h": "x0^2 + x1^2 + x2^2 + x3*x4",
-    "D": [
-        ["0", "0", "0", "0", "0"],
-        ["0", "0", "0", "0", "0"],
-        ["0", "0", "0", "0", "0"],
-        ["0", "0", "0", "1", "0"],
-        ["0", "0", "0", "0", "-1"],
-    ],
-    "ideal": ["x0^2 + x1^2 + x2^2", "x3", "x4"],
-}
-
+with open(os.path.join(BENCH_DIR, "problems", "quadric.json"), encoding="utf-8") as _fh:
+    QUADRIC_PROBLEM = json.load(_fh)
 
 EULER_PROBLEM = dict(
     QUADRIC_PROBLEM, D=[["1" if i == j else "0" for j in range(5)] for i in range(5)]

@@ -20,12 +20,8 @@ from projvf import (
     parse_poly,
     weight_zero_monomials,
 )
-from support import euler, rand_fraction, rand_homogeneous, rand_poly
-
-P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
-P4C = VarContext(("x0", "x1", "x2", "x3", "x4"), ("a", "c"))
-QUADRIC = parse_poly("x0^2 + x1^2 + x2^2 + x3*x4", P4)
-FIELD = Derivation.diagonal(P4, (0, 0, 0, 1, -1))
+from projvf.verify import P4, QUADRIC, QUADRIC_FIELD as FIELD
+from support import P4C, SMALL, euler, rand_fraction, rand_homogeneous, rand_poly
 
 
 def rand_derivation(rng, ctx):
@@ -49,10 +45,6 @@ class TestConstruction:
         with pytest.raises(InputError):
             D.constant_entries()
 
-    def test_to_strings(self):
-        rows = FIELD.to_strings()
-        assert rows[3][3] == "1" and rows[4][4] == "-1" and rows[0][0] == "0"
-
 
 class TestApply:
     def test_quadric_annihilated(self):
@@ -75,7 +67,7 @@ class TestApply:
     @settings(max_examples=60)
     def test_derivation_product_rule(self, seed):
         rng = random.Random(seed)
-        ctx = VarContext(("x0", "x1", "x2"))
+        ctx = SMALL
         D = rand_derivation(rng, ctx)
         f = rand_poly(rng, ctx, max_degree=2, max_terms=3)
         g = rand_poly(rng, ctx, max_degree=2, max_terms=3)
@@ -85,7 +77,7 @@ class TestApply:
     @settings(max_examples=60)
     def test_linearity(self, seed):
         rng = random.Random(seed)
-        ctx = VarContext(("x0", "x1", "x2"))
+        ctx = SMALL
         D = rand_derivation(rng, ctx)
         f = rand_poly(rng, ctx)
         g = rand_poly(rng, ctx)
@@ -95,7 +87,7 @@ class TestApply:
     @settings(max_examples=60)
     def test_degree_preserved(self, seed, degree):
         rng = random.Random(seed)
-        ctx = VarContext(("x0", "x1", "x2"))
+        ctx = SMALL
         D = rand_derivation(rng, ctx)
         f = rand_homogeneous(rng, ctx, degree)
         image = D(f)
@@ -134,7 +126,7 @@ class TestEulerReduce:
     @settings(max_examples=40)
     def test_bilinear_expression_invariant(self, seed):
         rng = random.Random(seed)
-        ctx = VarContext(("x0", "x1", "x2"))
+        ctx = SMALL
         D = rand_derivation(rng, ctx)
         E = euler_reduce(D)
         f = rand_homogeneous(rng, ctx, 2)

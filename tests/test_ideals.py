@@ -29,7 +29,9 @@ from projvf import (
     zero_locus_ideal,
 )
 from projvf import ideals
+from projvf.verify import P3, P4, QUADRIC, QUADRIC_CURVE as CURVE, QUADRIC_FIELD as FIELD
 from support import (
+    SMALL,
     brute_force_member,
     contains_one,
     euler,
@@ -39,17 +41,8 @@ from support import (
     rand_homogeneous,
     rand_poly,
     s_polynomial,
+    zero_locus_reference,
 )
-
-P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
-P3 = VarContext(("x0", "x1", "x2", "x3"))
-SMALL = VarContext(("x0", "x1", "x2"))
-QUADRIC = parse_poly("x0^2 + x1^2 + x2^2 + x3*x4", P4)
-FIELD = Derivation.diagonal(P4, (0, 0, 0, 1, -1))
-CURVE = Ideal.spanned_by(
-    P4, (parse_poly("x0^2 + x1^2 + x2^2", P4), parse_poly("x3", P4), parse_poly("x4", P4))
-)
-
 
 def ideal_of(ctx, *texts):
     return Ideal.spanned_by(ctx, tuple(parse_poly(t, ctx) for t in texts))
@@ -71,6 +64,10 @@ class TestBuchberger:
     def test_zero_ideal(self):
         gb = buchberger(Ideal.spanned_by(SMALL, ()))
         assert gb.basis == ()
+        # it takes no step, but a negative budget is exceeded before any
+        assert buchberger(Ideal.spanned_by(SMALL, ()), max_steps=0).basis == ()
+        with pytest.raises(ResourceLimitError):
+            buchberger(Ideal.spanned_by(SMALL, ()), max_steps=-1)
 
     def test_rejects_parameters(self):
         ctx = VarContext(("x0", "x1"), ("c",))
@@ -164,7 +161,7 @@ def coefficient_corpus():
     rng = random.Random(9021)
 
     def big(shape):
-        g = Polynomial(shape.context, {m: big_coefficient(rng, kind) for m in shape.monomials()})
+        g = Polynomial(shape.context, {m: big_coefficient(rng, kind) for m, _ in shape.items()})
         return g if g.leading_term()[1] < 0 else -g
 
     corpus = []
@@ -213,7 +210,7 @@ class TestNormalFormAndMembership:
         # every minor carries a factor x3 or x4, so membership is forced
         i3, i4 = P4.index("x3"), P4.index("x4")
         for minor in minors:
-            assert all(m[i3] > 0 or m[i4] > 0 for m in minor.monomials())
+            assert all(m[i3] > 0 or m[i4] > 0 for m, _ in minor.items())
             assert ideal_member(minor, CURVE)
 
     def test_context_mismatch(self):
@@ -249,13 +246,13 @@ class TestNormalFormAndMembership:
         gb = buchberger(Ideal.spanned_by(ctx, gens))
         shape = rand_poly(rng, ctx, max_degree=3, max_terms=4) or ctx.variable("x1")
         content = rng.randint(2, 30)
-        f = Polynomial(ctx, {m: content * rng.choice((-1, 1)) * rng.randint(1, 20) for m in shape.monomials()})
+        f = Polynomial(ctx, {m: content * rng.choice((-1, 1)) * rng.randint(1, 20) for m, _ in shape.items()})
         f = f if f.leading_term()[1] < 0 else -f
         r = normal_form(f, gb)
         assert_clean(r)
         assert brute_force_member(f - r, gens)
         leads = [g.leading_term()[0] for g in gb.basis]
-        assert not any(all(a <= b for a, b in zip(lm, m)) for m in r.monomials() for lm in leads)
+        assert not any(all(a <= b for a, b in zip(lm, m)) for m, _ in r.items() for lm in leads)
         assert normal_form(f * Fraction(-5, 7), gb) == r * Fraction(-5, 7)
 
 
@@ -730,7 +727,7 @@ class TestPacking:
 
     def test_width_follows_the_degree(self):
         N = 10**6
-        ctx = VarContext(("x0", "x1", "x2"))
+        ctx = SMALL
         x0, x1 = ctx.variable("x0"), ctx.variable("x1")
         gb = buchberger(Ideal.spanned_by(ctx, (x0**N - x1**N, x0 * x1)))
         assert set(gb.basis) == {x0**N - x1**N, x0 * x1, x1 ** (N + 1)}
@@ -825,6 +822,28 @@ class TestZeroLocus:
         D = Derivation.diagonal(ctx, [ctx.variable("c"), 0])
         with pytest.raises(InputError):
             zero_locus_ideal(D)
+
+    def test_minors_match_polynomial_products(self):
+        """On seeded rational matrices the generators equal those of the
+        Polynomial-product construction, in the same order and with the same
+        sign (``zeros`` prints them); a multiple of the identity gives none."""
+        rng = random.Random(1305)
+
+        def entry():
+            return 0 if rng.random() < 0.4 else Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+        for k in range(200):
+            n = rng.randint(2, 5)
+            names = tuple(f"x{i}" for i in range(n))
+            ctx = VarContext(names, ("a",)) if rng.random() < 0.3 else VarContext(names)
+            scalar = k % 10 == 0
+            if scalar:
+                D = Derivation.diagonal(ctx, [entry()] * n)
+            else:
+                D = Derivation.from_rows(ctx, [[entry() for _ in range(n)] for _ in range(n)])
+            got = zero_locus_ideal(D)
+            assert got == zero_locus_reference(D)
+            assert got.is_zero() or not scalar
 
     @pytest.mark.parametrize("shear", [None, (0, 3), (1, 4), (2, 0)])
     def test_rational_points_match_eigenspaces(self, shear):

@@ -7,11 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from projvf import ParseError, Polynomial, VarContext, cli, parse_poly, parser
 from projvf.parser import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_NESTING
-from support import rand_poly
-
-P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
-P4C = VarContext(("x0", "x1", "x2", "x3", "x4"), ("a", "c"))
-SMALL = VarContext(("x0", "x1", "x2"))
+from projvf.verify import P4
+from support import P4C, SMALL, rand_poly
 
 
 class TestGolden:

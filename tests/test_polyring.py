@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,12 +17,8 @@ from projvf import (
     partial_derivative,
     substitute,
 )
-from support import evaluate, rand_homogeneous, rand_poly
-
-P4 = VarContext(("x0", "x1", "x2", "x3", "x4"))
-P4C = VarContext(("x0", "x1", "x2", "x3", "x4"), ("a", "c"))
-SMALL = VarContext(("x0", "x1", "x2"))
-QUADRIC = parse_poly("x0^2 + x1^2 + x2^2 + x3*x4", P4)
+from projvf.verify import P4, QUADRIC
+from support import P4C, SMALL, all_monomials, evaluate, rand_homogeneous, rand_poly
 
 
 def test_canonical_form_is_unique():
@@ -145,7 +143,7 @@ class TestCoefficientOf:
         ctx = VarContext(("x0", "x1"), ("a",))
         p = rand_poly(random.Random(seed), ctx, max_degree=3, max_terms=5, projective_only=False)
         total = ctx.zero()
-        seen = {m[: ctx.nproj] + (0,) * len(ctx.parameters) for m in p.monomials()}
+        seen = {m[: ctx.nproj] + (0,) * len(ctx.parameters) for m, _ in p.items()}
         for m in seen:
             total = total + coefficient_of(p, m).mul_term(m, 1)
         assert total == p
@@ -242,3 +240,16 @@ def test_monomials_of_degree_count():
     assert len(set(listed)) == 15
     keys = [order_key(m) for m in listed]
     assert keys == sorted(keys, reverse=True)
+    for d in range(4):
+        # parameters never enter: C(d+n-1, n-1) projective monomials, descending
+        listed = monomials_of_degree(P4C, d)
+        assert all(m[P4C.nproj :] == (0, 0) for m in listed)
+        assert len(set(listed)) == len(listed) == math.comb(d + P4C.nproj - 1, P4C.nproj - 1)
+        keys = [order_key(m) for m in listed]
+        assert keys == sorted(keys, reverse=True)
+        # the all-variable enumeration of the tests' oracles, against itertools
+        oracle = {
+            tuple(c.count(i) for i in range(P4C.nvars))
+            for c in itertools.combinations_with_replacement(range(P4C.nvars), d)
+        }
+        assert all_monomials(P4C, d) == sorted(oracle, key=order_key, reverse=True)
