@@ -13,6 +13,7 @@ reason, never a bare boolean.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,7 +28,6 @@ from .polyring import (
     VarContext,
     coefficient_of,
     monomials_of_degree,
-    order_key,
     partial_derivative,
     substitute,
 )
@@ -54,25 +54,21 @@ def stabilizer_algebra(h: Polynomial) -> StabilizerSolution:
     Expands the condition into a linear system in the (n+1)^2 + 1 unknowns
     (entries of A, then c) by matching the coefficient of every monomial, and
     returns the canonical kernel basis. The Euler pair (identity, deg h)
-    always lies in the span.
+    always lies in the span. A term b*x^k of h puts k_j*b at x^(k - e_j + e_i)
+    in column (i, j), the only entry it gets there, and -b at x^k in column c.
     """
     _check_hypersurface(h)
-    ctx = h.context
-    n = ctx.nproj
-    partials = [partial_derivative(h, v) for v in ctx.projective]
-    columns: list[Polynomial] = []
-    for i in range(n):
-        xi = ctx.monomial({ctx.projective[i]: 1})
-        for j in range(n):
-            columns.append(partials[j].mul_term(xi, 1))
-    columns.append(-h)
-    monomials = sorted({m for p in columns for m in p._terms}, key=order_key, reverse=True)
-    matrix = RatMatrix([[p.coefficient(m) for p in columns] for m in monomials])
-    pairs = []
-    for vec in kernel_basis(matrix):
-        A = RatMatrix([vec[i * n : (i + 1) * n] for i in range(n)])
-        pairs.append((A, vec[-1]))
-    return StabilizerSolution(context=ctx, pairs=tuple(pairs))
+    n = h.context.nproj
+    system: dict[Monomial, list[Fraction]] = defaultdict(lambda: [Fraction(0)] * (n * n + 1))
+    for k, b in h._terms.items():
+        system[k][n * n] = -b
+        for j in (j for j in range(n) if k[j]):
+            lowered = k[:j] + (k[j] - 1,) + k[j + 1 :]
+            for i in range(n):
+                system[lowered[:i] + (lowered[i] + 1,) + lowered[i + 1 :]][i * n + j] = k[j] * b
+    basis = kernel_basis(RatMatrix(list(system.values())))
+    pairs = tuple((RatMatrix([vec[i * n : (i + 1) * n] for i in range(n)]), vec[-1]) for vec in basis)
+    return StabilizerSolution(context=h.context, pairs=pairs)
 
 
 # -- the structured normal form ----------------------------------------------

@@ -12,7 +12,8 @@ objects a subcommand needs::
     }
 
 Exit codes: 0 affirmative/success, 1 negative verdict, 2 input error,
-3 resource-cap exceeded, 4 internal error.
+3 resource-cap exceeded, 4 internal error, which includes a standard output
+closed before ``run`` has flushed its report.
 
 Each ``cmd_*`` handler takes the loaded problem (``None`` for subcommands
 without a file) and returns its JSON payload, its text report and its
@@ -324,6 +325,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         problem = load_problem(args.file) if "file" in args else None
         payload, text, ok = args.fn(problem, args)
+        print(json.dumps(payload, indent=2, sort_keys=False) if args.json else text, flush=True)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -333,7 +335,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # a crash must never read as a verdict
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(json.dumps(payload, indent=2, sort_keys=False) if args.json else text)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here is deterministic: row reduction picks the first nonzero pivot
-(no magnitude pivoting, exact arithmetic needs none), kernel bases set free
-variables to one in column order, and only rational eigenvalues are
-materialised. The part of the spectrum outside the rationals is reported as
-the unfactored residual of the characteristic polynomial, never approximated.
+Everything here is deterministic. Row reduction and the characteristic
+polynomial compute on integers, with Fractions only in inputs and results;
+row reduction is fraction-free elimination that keeps each new row primitive
+and takes the first nonzero pivot (exact arithmetic needs no magnitude
+pivoting). Kernel bases set free variables to one in column order, and only
+rational eigenvalues are materialised; the rest of the spectrum is the
+unfactored residual of the characteristic polynomial, never approximated.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        grid = tuple(tuple(Fraction(v) for v in row) for row in entries)
+        grid = tuple(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row) for row in entries)
         if not grid or not grid[0]:
             raise InputError("matrix must have at least one row and one column")
         if any(len(row) != len(grid[0]) for row in grid):
@@ -111,44 +113,43 @@ class RatMatrix:
 
 
 def rref(M: RatMatrix) -> tuple[RatMatrix, int]:
-    """Reduced row echelon form and rank; first-nonzero pivoting."""
-    grid = [list(row) for row in M.entries]
-    rows, cols = M.rows, M.cols
-    pivot_row = 0
-    for col in range(cols):
-        sel = next((r for r in range(pivot_row, rows) if grid[r][col]), None)
+    """Reduced row echelon form and rank; first-nonzero pivoting.
+
+    Fraction-free: M is scaled to integers by the lcm of its denominators, a
+    row is cleared in a pivot column as u*row - w*pivot, u and w the two
+    entries there divided by their gcd, and its content is divided out; each
+    row is divided by its pivot entry only in the result."""
+    den = math.lcm(*(v.denominator for row in M.entries for v in row))
+    grid = [[v.numerator * (den // v.denominator) for v in row] for row in M.entries]
+    rank = 0
+    for col in range(M.cols):
+        sel = next((r for r in range(rank, M.rows) if grid[r][col]), None)
         if sel is None:
             continue
-        grid[pivot_row], grid[sel] = grid[sel], grid[pivot_row]
-        inv = Fraction(1) / grid[pivot_row][col]
-        grid[pivot_row] = [v * inv for v in grid[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and grid[r][col]:
-                f = grid[r][col]
-                grid[r] = [a - f * b for a, b in zip(grid[r], grid[pivot_row])]
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    return RatMatrix(grid), pivot_row
+        grid[rank], grid[sel] = grid[sel], grid[rank]
+        pivot = grid[rank]
+        for r, row in enumerate(grid):
+            if r != rank and row[col]:
+                g = math.gcd(pivot[col], row[col])
+                u, w = pivot[col] // g, row[col] // g
+                new = [u * a - w * b for a, b in zip(row, pivot)]
+                c = math.gcd(*new)
+                grid[r] = [v // c for v in new] if c > 1 else new
+        rank += 1
+    leads = [next((v for v in row if v), 1) for row in grid]
+    return RatMatrix([[Fraction(v, p) for v in row] for row, p in zip(grid, leads)]), rank
 
 
 def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Canonical basis of the right null space (free variables set to 1 in order)."""
     R, rank = rref(M)
-    pivots: dict[int, int] = {}
-    col = 0
-    for r in range(rank):
-        while not R.entries[r][col]:
-            col += 1
-        pivots[col] = r
-        col += 1
-    free = [c for c in range(M.cols) if c not in pivots]
+    pivots = {next(c for c, v in enumerate(row) if v): row for row in R.entries[:rank]}
     basis = []
-    for fc in free:
+    for fc in (c for c in range(M.cols) if c not in pivots):
         v = [Fraction(0)] * M.cols
         v[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            v[pc] = -R.entries[pr][fc]
+        for pc, row in pivots.items():
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -204,14 +205,13 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_roots(p: UnivariatePoly, max_steps: int) -> tuple[list[tuple[Fraction, int]], UnivariatePoly]:
+def _rational_roots(q: UnivariatePoly, max_steps: int) -> tuple[list[tuple[Fraction, int]], UnivariatePoly]:
     """All rational roots with multiplicities, plus the unfactored remainder.
 
     Each trial division and each candidate root costs one step; both are
     charged before the work starts, and a search over ``max_steps`` raises
     :class:`ResourceLimitError`.
     """
-    q = p
     roots: list[tuple[Fraction, int]] = []
     zero_mult = 0
     while q.degree >= 1 and not q.coeffs[0]:
@@ -221,9 +221,7 @@ def _rational_roots(p: UnivariatePoly, max_steps: int) -> tuple[list[tuple[Fract
         roots.append((Fraction(0), zero_mult))
     if q.degree >= 1:
         scale = math.lcm(*(c.denominator for c in q.coeffs))
-        ints = [c * scale for c in q.coeffs]
-        lead = int(ints[-1])
-        const = int(ints[0])
+        const, lead = int(q.coeffs[0] * scale), int(q.coeffs[-1] * scale)
         budget = _Budget(max_steps, "rational root search")
         budget.spend(math.isqrt(abs(const)) + math.isqrt(abs(lead)))
         nums, dens = _divisors(const), _divisors(lead)
@@ -248,11 +246,9 @@ def rational_eigen(M: RatMatrix, max_steps: int = DEFAULT_MAX_STEPS) -> EigenDec
     ``max_steps``); eigenspaces come from :func:`kernel_basis` of
     M - lambda*I.
     """
-    p = char_poly(M)
-    roots, residual = _rational_roots(p, max_steps)
+    roots, residual = _rational_roots(char_poly(M), max_steps)
     pairs = []
     for value, mult in roots:
         shifted = [[v - value if i == j else v for j, v in enumerate(row)] for i, row in enumerate(M.entries)]
-        space = kernel_basis(RatMatrix(shifted))
-        pairs.append(EigenPair(value=value, space=tuple(space), multiplicity=mult))
+        pairs.append(EigenPair(value=value, space=tuple(kernel_basis(RatMatrix(shifted))), multiplicity=mult))
     return EigenDecomposition(pairs=tuple(pairs), residual=residual)

@@ -20,7 +20,10 @@ from projvf import (
     RatMatrix,
     UnivariatePoly,
     VarContext,
+    kernel_basis,
     monomials_of_degree,
+    order_key,
+    partial_derivative,
     rref,
 )
 
@@ -227,20 +230,33 @@ def all_monomials(ctx: VarContext, degree: int) -> list:
     return monomials_of_degree(VarContext(ctx.names), degree)
 
 
+def stabilizer_columns(h: Polynomial) -> list[Polynomial]:
+    """The columns of the system D_A h = c*h as Polynomial products: x_i times
+    dh/dx_j for the unknown A_ij, (i, j) in row-major order, then -h for c."""
+    ctx = h.context
+    partials = [partial_derivative(h, v) for v in ctx.projective]
+    columns = [d.mul_term(ctx.monomial({xi: 1}), 1) for xi in ctx.projective for d in partials]
+    return columns + [-h]
+
+
+def stabilizer_reference(h: Polynomial) -> tuple:
+    """The pairs (A, c) of ``stabilizer_algebra`` from the Polynomial columns,
+    one row per monomial that occurs in them, sorted descending in the order,
+    with each entry looked up by ``coefficient``."""
+    n = h.context.nproj
+    columns = stabilizer_columns(h)
+    monomials = sorted({m for p in columns for m, _ in p.items()}, key=order_key, reverse=True)
+    matrix = RatMatrix([[p.coefficient(m) for p in columns] for m in monomials])
+    return tuple((RatMatrix([v[i * n : (i + 1) * n] for i in range(n)]), v[-1]) for v in kernel_basis(matrix))
+
+
 def brute_force_stabilizer_dimension(h: Polynomial) -> int:
     """Independent stabilizer count: corank of the full coefficient-matching
     system over every monomial of the right degree, eliminated locally."""
-    from projvf import partial_derivative
-
     ctx = h.context
     n = ctx.nproj
     degree = max(sum(m[:n]) for m, _ in h.items())
-    columns = []
-    for i in range(n):
-        xi = ctx.monomial({ctx.projective[i]: 1})
-        for j in range(n):
-            columns.append(partial_derivative(h, ctx.projective[j]).mul_term(xi, 1))
-    columns.append(-h)
+    columns = stabilizer_columns(h)
     rows = []
     for m in monomials_of_degree(ctx, degree):
         row = {k: p.coefficient(m) for k, p in enumerate(columns) if p.coefficient(m)}

@@ -27,8 +27,19 @@ from projvf import (
     Polynomial,
     UnivariatePoly,
 )
-from projvf.verify import FERMAT, P4, QUADRIC, QUADRIC_CURVE as CURVE, QUADRIC_FIELD as FIELD
-from support import brute_force_stabilizer_dimension, euler, identity, mat_mul, rand_fraction, spans
+from projvf.verify import FERMAT, P3, P4, QUADRIC, QUADRIC_CURVE as CURVE, QUADRIC_FIELD as FIELD
+from support import (
+    P4C,
+    SMALL,
+    brute_force_stabilizer_dimension,
+    euler,
+    identity,
+    mat_mul,
+    rand_fraction,
+    rand_homogeneous,
+    spans,
+    stabilizer_reference,
+)
 
 
 class TestStabilizer:
@@ -82,6 +93,32 @@ class TestStabilizer:
     def test_rejects_bad_input(self):
         with pytest.raises(InputError):
             stabilizer_algebra(parse_poly("x0 + x1^2", P4))
+
+    def test_pairs_equal_the_polynomial_column_construction(self):
+        rng = random.Random(1964)
+        cases = [QUADRIC, FERMAT[3], FERMAT[4]]
+        for ctx, degree in ((SMALL, 2), (SMALL, 3), (P3, 3), (P3, 4), (P4, 2), (P4, 3), (P4C, 3)):
+            cases += [rand_homogeneous(rng, ctx, degree, max_terms=rng.randint(1, 8)) for _ in range(5)]
+        for h in cases:
+            assert stabilizer_algebra(h).pairs == stabilizer_reference(h), h
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_smooth_of_degree_at_least_three_has_only_the_euler_pair(self, seed):
+        """Matsumura-Monsky (1964): a smooth hypersurface of degree d >= 3 has
+        a finite group of linear automorphisms, so D_A h = c*h has only the
+        Euler pair. This checks every smooth verdict by linear algebra alone."""
+        rng = random.Random(seed)
+        smooth = symmetric = 0
+        for ctx, degree in ((P3, 3), (P4, 3), (P3, 4)):
+            for terms in [*range(3, 13)] * 2:
+                h = rand_homogeneous(rng, ctx, degree, max_terms=terms)
+                dimension = stabilizer_algebra(h).dimension
+                if is_smooth_projective(h):
+                    assert dimension == 1, h
+                    smooth += 1
+                symmetric += dimension > 1
+        # the corpus holds both sides of the rule
+        assert smooth >= 5 and symmetric >= 5
 
 
 class TestStructuredDerivation:

@@ -544,12 +544,32 @@ def test_max_steps_help_names_both_budgets(capsys):
 class TestModuleEntryPoint:
     """`python -m projvf.cli` behaves like the `projvf` script."""
 
-    def run_module(self, *argv):
+    @staticmethod
+    def env():
         env = dict(os.environ, NO_COLOR="1")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        return env
+
+    def run_module(self, *argv):
         return subprocess.run(
-            [sys.executable, "-m", "projvf.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-m", "projvf.cli", *argv], capture_output=True, text=True, env=self.env(), timeout=120
         )
+
+    def test_closed_stdout_exits_4_without_traceback(self):
+        """As in `projvf verify-paper --json | true`: the reader is gone before
+        the report is written."""
+        child = subprocess.Popen(
+            [sys.executable, "-m", "projvf.cli", "verify-paper", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=self.env(),
+        )
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == cli.EXIT_INTERNAL
+        assert err.startswith("error: internal error: BrokenPipeError")
+        assert err.count("\n") == 1  # no traceback, and no "Exception ignored" line at shutdown
 
     def test_input_error_exits_2(self, problem):
         done = self.run_module("smooth", problem({"vars": ["x0", "x1"], "h": f"(x0 + x1)^{MAX_EXPONENT + 1}"}))

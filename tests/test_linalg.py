@@ -44,6 +44,43 @@ class TestRref:
         R, rank = rref(RatMatrix([[1, 2], [2, 4]]))
         assert R == RatMatrix([[1, 2], [0, 0]]) and rank == 1
 
+    def test_agrees_with_sympy_rref(self):
+        sympy = pytest.importorskip("sympy")
+        for M in elimination_corpus():
+            ours = [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in M.entries]
+            theirs, pivots = sympy.Matrix(ours).rref()
+            R, rank = rref(M)
+            assert R == RatMatrix([[Fraction(int(x.p), int(x.q)) for x in row] for row in theirs.tolist()])
+            assert rank == len(pivots)
+
+
+def elimination_corpus():
+    """Seeded rational matrices for row reduction: tall, wide and square, each
+    of full rank, rank-deficient (a product through a narrower factor) and with
+    zero rows, in three entry mixes: small integers with many zeros, p/q with
+    |p|, q <= 9, and p/q with |p|, q <= 10^6."""
+    rng = random.Random(1968)
+    mixes = (
+        lambda: Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3))),
+        lambda: rand_fraction(rng),
+        lambda: Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)),
+    )
+    corpus = []
+    for entry in mixes:
+
+        def grid(rows, cols):
+            return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+        for rows, cols in ((1, 1), (1, 5), (5, 1), (7, 3), (3, 7), (5, 5), (9, 6)):
+            corpus.append(RatMatrix(grid(rows, cols)))
+            inner = max(1, min(rows, cols) - 2)
+            corpus.append(mat_mul(RatMatrix(grid(rows, inner)), RatMatrix(grid(inner, cols))))
+            with_zeros = grid(rows, cols)
+            for r in rng.sample(range(rows), (rows + 1) // 2):
+                with_zeros[r] = [Fraction(0)] * cols
+            corpus.append(RatMatrix(with_zeros))
+    return corpus
+
 
 class TestKernel:
     def test_zero_matrix(self):
