@@ -23,8 +23,10 @@ verdict; ``run`` alone loads the file, prints and picks the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -272,14 +274,17 @@ def cmd_verify(problem: None, args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the width HelpFormatter would read, queried once instead of per add_argument
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
+        formatter_class=formatter,
         prog="projvf",
         description="Exact toolkit for linear vector fields on projective hypersurfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_, needs_file=True, budgeted=False):
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, formatter_class=formatter)
         if needs_file:
             p.add_argument("file", help="JSON problem file")
         p.add_argument("--json", action="store_true", help="machine-readable output")

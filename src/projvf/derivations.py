@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import InputError
@@ -20,7 +21,6 @@ from .polyring import (
     Monomial,
     Polynomial,
     VarContext,
-    partial_derivative,
     monomials_of_degree,
 )
 
@@ -105,18 +105,25 @@ class Derivation:
         """Act on a polynomial:  sum_ij a_ij * x_i * df/dx_j."""
         if f.context != self.context:
             raise InputError("polynomial belongs to a different variable context")
-        ctx = self.context
-        result = ctx.zero()
-        for j, name in enumerate(ctx.projective):
-            df = partial_derivative(f, name)
-            if not df:
-                continue
-            for i in range(self.size):
-                a = self.entries[i][j]
-                if a:
-                    xi = ctx.monomial({ctx.projective[i]: 1})
-                    result = result + (a * df).mul_term(xi, 1)
-        return result
+        # term by term: c*x^m contributes a_ij * m_j*c * x^(m - e_j + e_i)
+        acc: dict[Monomial, Fraction] = {}
+        get = acc.get
+        for m, c in f._terms.items():
+            for j in range(self.size):
+                if not m[j]:
+                    continue
+                cj = c * m[j]
+                for i, row in enumerate(self.entries):
+                    if not row[j]:
+                        continue
+                    shifted = list(m)
+                    shifted[j] -= 1
+                    shifted[i] += 1
+                    for p, b in row[j]._terms.items():
+                        mm = tuple(map(add, shifted, p))
+                        s = get(mm)
+                        acc[mm] = cj * b if s is None else s + cj * b
+        return Polynomial._trusted(self.context, {m: c for m, c in acc.items() if c})
 
     __call__ = apply
 

@@ -18,6 +18,9 @@ from typing import Iterable, Sequence
 
 from .errors import DEFAULT_MAX_STEPS, InputError, _Budget
 
+#: the zero every result shares; Fractions are immutable
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class UnivariatePoly:
@@ -40,10 +43,16 @@ class UnivariatePoly:
         return self.coeffs == (Fraction(1),)
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
+        """Value at x = num/den, by Horner's rule on integers: with the
+        coefficients a_k/s over their common denominator s, the value is
+        sum a_k num^k den^(n-k) / (s den^n)."""
+        num, den = x.numerator, x.denominator
+        s = math.lcm(*(c.denominator for c in self.coeffs))
+        acc, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * num + c.numerator * (s // c.denominator) * scale
+            scale *= den
+        return Fraction(acc, s * scale // den) if acc else _ZERO
 
     def deflate(self, root: Fraction) -> "UnivariatePoly":
         """Divide by (t - root); the root must be exact."""
@@ -137,7 +146,7 @@ def rref(M: RatMatrix) -> tuple[RatMatrix, int]:
                 grid[r] = [v // c for v in new] if c > 1 else new
         rank += 1
     leads = [next((v for v in row if v), 1) for row in grid]
-    return RatMatrix([[Fraction(v, p) for v in row] for row, p in zip(grid, leads)]), rank
+    return RatMatrix([[Fraction(v, p) if v else _ZERO for v in row] for row, p in zip(grid, leads)]), rank
 
 
 def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
@@ -146,7 +155,7 @@ def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
     pivots = {next(c for c, v in enumerate(row) if v): row for row in R.entries[:rank]}
     basis = []
     for fc in (c for c in range(M.cols) if c not in pivots):
-        v = [Fraction(0)] * M.cols
+        v = [_ZERO] * M.cols
         v[fc] = Fraction(1)
         for pc, row in pivots.items():
             v[pc] = -row[fc]

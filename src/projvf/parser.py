@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .polyring import Polynomial, VarContext
@@ -54,8 +54,7 @@ MAX_TERMS = 1_000
 MAX_COEFFICIENT_BITS = 10_000
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "name" | one of the symbols | "end"
     text: str
     pos: int
@@ -194,8 +193,8 @@ def _coefficient_bits(p: Polynomial, monomials=None) -> int:
     """Bits in the largest numerator or denominator among p's coefficients, or
     among those at ``monomials`` when given (0 when there are none)."""
     terms = p._terms
-    coefficients = terms.values() if monomials is None else (terms[m] for m in monomials if m in terms)
-    return max((max(abs(c.numerator), c.denominator) for c in coefficients), default=0).bit_length()
+    coefficients = terms.values() if monomials is None else [terms[m] for m in monomials if m in terms]
+    return max([(abs(c.numerator) | c.denominator).bit_length() for c in coefficients], default=0)
 
 
 def _integer(tok: Token) -> int:

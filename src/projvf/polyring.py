@@ -11,7 +11,10 @@ full exponent tuple, with earlier-declared names larger
 (``x0 > x1 > ... > xn > parameters``). Term iteration and printing always
 follow it, so output is deterministic.
 
-Polynomials are immutable values: no operation modifies its operands.
+Polynomials are immutable values: no operation modifies its operands. The
+ring operators build each result once, through the trusted constructor: they
+accumulate exact coefficients into one dict, drop zero terms at the end and
+never re-check a term they built themselves.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Literal, Mapping, Union
 
 from .errors import InputError
@@ -27,6 +32,9 @@ from .errors import InputError
 Monomial = tuple[int, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+#: shared constants; Fractions are immutable, so one object serves every term
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def order_key(m: Monomial):
@@ -51,7 +59,7 @@ class VarContext:
             if not _NAME_RE.match(name):
                 raise InputError(f"invalid variable name: {name!r}")
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return self.projective + self.parameters
 
@@ -59,9 +67,9 @@ class VarContext:
     def nproj(self) -> int:
         return len(self.projective)
 
-    @property
+    @cached_property
     def nvars(self) -> int:
-        return len(self.projective) + len(self.parameters)
+        return len(self.names)
 
     def index(self, name: str) -> int:
         try:
@@ -87,17 +95,17 @@ class VarContext:
         return sum(m[: self.nproj])
 
     def constant(self, value) -> "Polynomial":
-        c = Fraction(value)
-        return Polynomial(self, {self.unit_monomial(): c} if c else {})
+        c = value if isinstance(value, Fraction) else Fraction(value)
+        return Polynomial._trusted(self, {self.unit_monomial(): c} if c else {})
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._trusted(self, {})
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def variable(self, name: str) -> "Polynomial":
-        return Polynomial(self, {self.monomial({name: 1}): Fraction(1)})
+        return Polynomial._trusted(self, {self.monomial({name: 1}): _ONE})
 
     def monomial_str(self, m: Monomial) -> str:
         s = _factor_str(self, m)
@@ -113,9 +121,10 @@ class Polynomial:
         width = context.nvars
         clean: dict[Monomial, Fraction] = {}
         for m, c in terms.items():
-            if len(m) != width or any(e < 0 for e in m):
+            if len(m) != width or min(m) < 0:
                 raise InputError("monomial does not fit the variable context")
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
                 clean[m] = c
         self.context = context
@@ -140,7 +149,7 @@ class Polynomial:
 
     def coefficient(self, m: Monomial) -> Fraction:
         """Raw coefficient of the exact monomial ``m`` (zero if absent)."""
-        return self._terms.get(m, Fraction(0))
+        return self._terms.get(m, _ZERO)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         if not self._terms:
@@ -160,11 +169,11 @@ class Polynomial:
 
     def is_parameter_only(self) -> bool:
         nproj = self.context.nproj
-        return all(all(e == 0 for e in m[:nproj]) for m in self._terms)
+        return not any(any(m[:nproj]) for m in self._terms)
 
     def is_parameter_free(self) -> bool:
         nproj = self.context.nproj
-        return all(all(e == 0 for e in m[nproj:]) for m in self._terms)
+        return not any(any(m[nproj:]) for m in self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -192,11 +201,13 @@ class Polynomial:
             return NotImplemented
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
+            s = terms.get(m)
+            if s is None:
+                terms[m] = c
+            elif s := s + c:  # only a sum of two terms can vanish
                 terms[m] = s
             else:
-                terms.pop(m, None)
+                del terms[m]
         return Polynomial._trusted(self.context, terms)
 
     __radd__ = __add__
@@ -215,7 +226,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = other if isinstance(other, Fraction) else Fraction(other)
             if not c:
                 return self.context.zero()
             return Polynomial._trusted(self.context, {m: v * c for m, v in self._terms.items()})
@@ -223,21 +234,22 @@ class Polynomial:
             return NotImplemented
         self._check_context(other)
         acc: dict[Monomial, Fraction] = {}
+        get = acc.get
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = acc.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return Polynomial._trusted(self.context, acc)
+                m = tuple(map(add, m1, m2))
+                s = get(m)
+                acc[m] = c1 * c2 if s is None else s + c1 * c2
+        return Polynomial._trusted(self.context, {m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise InputError("polynomial powers take nonnegative integer exponents")
+        if len(self._terms) == 1:  # (c*x^m)^n = c^n * x^(n*m), every x_i^k the parser meets
+            ((m, c),) = self._terms.items()
+            return Polynomial._trusted(self.context, {tuple(e * n for e in m): c**n})
         result = self.context.one()
         base = self
         while n:
@@ -249,14 +261,15 @@ class Polynomial:
 
     def mul_term(self, m: Monomial, c) -> "Polynomial":
         """Multiply by the single term ``c * m`` (exponent-shift, no full product)."""
-        if len(m) != self.context.nvars or any(e < 0 for e in m):
+        if len(m) != self.context.nvars or min(m) < 0:
             raise InputError("monomial does not fit the variable context")
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if not c:
             return self.context.zero()
         return Polynomial._trusted(
             self.context,
-            {tuple(a + b for a, b in zip(mm, m)): cc * c for mm, cc in self._terms.items()},
+            {tuple(map(add, mm, m)): cc * c for mm, cc in self._terms.items()},
         )
 
     # -- comparison / display ---------------------------------------------
@@ -316,13 +329,13 @@ def _term_str(ctx: VarContext, m: Monomial, mag: Fraction) -> str:
 def partial_derivative(p: Polynomial, var: str) -> Polynomial:
     """Formal partial derivative with respect to any declared variable."""
     idx = p.context.index(var)
+    # distinct terms keep distinct monomials, so nothing cancels
     terms: dict[Monomial, Fraction] = {}
     for m, c in p._terms.items():
         e = m[idx]
         if e:
-            mm = m[:idx] + (e - 1,) + m[idx + 1 :]
-            terms[mm] = terms.get(mm, Fraction(0)) + c * e
-    return Polynomial(p.context, terms)
+            terms[m[:idx] + (e - 1,) + m[idx + 1 :]] = c * e
+    return Polynomial._trusted(p.context, terms)
 
 
 def coefficient_of(p: Polynomial, m: Monomial) -> Polynomial:

@@ -145,6 +145,45 @@ def zero_locus_reference(D: Derivation) -> Ideal:
     return Ideal.spanned_by(ctx, [xs[i] * v[j] - xs[j] * v[i] for i in range(n) for j in range(i + 1, n)])
 
 
+def mul_reference(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p*q by the schoolbook double loop, each coefficient summed from a
+    Fraction(0) default and dropped as soon as it cancels."""
+    acc: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = acc.get(m, Fraction(0)) + c1 * c2
+            if s:
+                acc[m] = s
+            else:
+                acc.pop(m, None)
+    return Polynomial(p.context, acc)
+
+
+def pow_reference(p: Polynomial, n: int) -> Polynomial:
+    """p**n by binary powering over :func:`mul_reference`, one-term bases included."""
+    result, base = p.context.one(), p
+    while n:
+        if n & 1:
+            result = mul_reference(result, base)
+        base = mul_reference(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def apply_reference(D: Derivation, f: Polynomial) -> Polynomial:
+    """D(f) = sum_ij a_ij * x_i * df/dx_j, from whole partial derivatives and
+    :func:`mul_reference` products, one column j at a time."""
+    ctx = D.context
+    result = ctx.zero()
+    for j, name in enumerate(ctx.projective):
+        df = partial_derivative(f, name)
+        for i, xi in enumerate(ctx.projective):
+            if D.entries[i][j] and df:
+                result = result + mul_reference(D.entries[i][j], mul_reference(ctx.variable(xi), df))
+    return result
+
+
 # -- reference computations on Polynomial values -------------------------------
 
 

@@ -583,3 +583,14 @@ class TestModuleEntryPoint:
         done = self.run_module("verify-paper")
         assert done.returncode == cli.EXIT_OK
         assert done.stdout == capsys.readouterr().out
+
+
+def test_help_wraps_at_the_terminal_width(monkeypatch, capsys):
+    lines = {}
+    for columns in (40, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        assert run(["vanishes", "--help"]) == cli.EXIT_OK
+        lines[columns] = capsys.readouterr().out.splitlines()
+    # the usage line alone is about 85 characters wide
+    assert len(lines[40]) > len(lines[200])
+    assert max(map(len, lines[200])) > 80

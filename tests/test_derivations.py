@@ -21,7 +21,7 @@ from projvf import (
     weight_zero_monomials,
 )
 from projvf.verify import P4, QUADRIC, QUADRIC_FIELD as FIELD
-from support import P4C, SMALL, euler, rand_fraction, rand_homogeneous, rand_poly
+from support import P4C, SMALL, apply_reference, euler, rand_fraction, rand_homogeneous, rand_poly
 
 
 def rand_derivation(rng, ctx):
@@ -62,6 +62,25 @@ class TestApply:
     def test_context_mismatch(self):
         with pytest.raises(InputError):
             FIELD(parse_poly("x0", VarContext(("x0", "x1"))))
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(deadline=None)
+    def test_matches_reference(self, seed, symbolic):
+        """Constant or symbolic entries, some zero, against the column-by-column route."""
+        rng = random.Random(seed)
+        n = P4C.nproj
+
+        def entry():
+            if rng.random() < 0.4:
+                return 0
+            if not symbolic:
+                return rand_fraction(rng, 4)
+            terms = {(0,) * n + (rng.randint(0, 2), rng.randint(0, 1)): rand_fraction(rng, 4) for _ in range(2)}
+            return Polynomial(P4C, terms)
+
+        D = Derivation.from_rows(P4C, [[entry() for _ in range(n)] for _ in range(n)])
+        f = rand_poly(rng, P4C, max_degree=3, max_terms=4, projective_only=False)
+        assert D(f) == apply_reference(D, f)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60)

@@ -6,11 +6,15 @@ and never lets an exception escape.
 """
 
 import json
+import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from projvf import ParseError, Polynomial, VarContext, cli, parse_poly
+from support import evaluate
 
 CTX = VarContext(("x0", "x1", "x2", "x3", "x4"), ("c",))
 NAMES = ["x0", "x1", "x2", "x3", "x4", "c", "y"]  # y is never declared
@@ -48,6 +52,29 @@ def test_parse_poly_returns_or_raises_parse_error(text):
         assert 0 <= err.position <= len(text)
     else:
         assert isinstance(value, Polynomial)
+
+
+def python_value(text: str, point: dict) -> Fraction:
+    """The value of polynomial text at ``point`` by Python's own evaluator:
+    '^' read as '**', every integer literal a Fraction. Precedence, unary
+    minus and '/' agree with the grammar, so this route shares nothing with
+    the parser."""
+    source = re.sub(r"(\^)?\b(\d+)", lambda m: f"**{m[2]}" if m[1] else f"F('{m[2]}')", text)
+    return eval(source, {"__builtins__": {}, "F": Fraction}, dict(point))
+
+
+@given(expressions(max_exponent=6, max_leaves=10), st.integers(0, 10**9))
+@settings(deadline=None)
+@example("-(x0 - 2/3*x1)^3/-4 + c*x4", 1)
+def test_parse_poly_agrees_with_python_evaluation(text, seed):
+    try:
+        value = parse_poly(text, CTX)
+    except ParseError:
+        return
+    rng = random.Random(seed)
+    for _ in range(3):
+        point = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for name in CTX.names}
+        assert evaluate(value, point) == python_value(text, point)
 
 
 SMALL_EXPR = expressions(max_exponent=4, max_leaves=6)

@@ -316,6 +316,13 @@ class TestUnivariate:
         assert str(UnivariatePoly.of([])) == "0"
         assert str(UnivariatePoly.of([Fraction(3, 2)])) == "3/2"
 
+    @given(st.integers(0, 10**9), st.integers(0, 6))
+    def test_value_equals_the_sum_of_fraction_powers(self, seed, degree):
+        rng = random.Random(seed)
+        p = UnivariatePoly.of([rand_fraction(rng) for _ in range(degree + 1)])
+        for x in (Fraction(0), rand_fraction(rng), Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))):
+            assert p(x) == sum((c * x**k for k, c in enumerate(p.coeffs)), Fraction(0))
+
     def test_deflate(self):
         p = UnivariatePoly.of([-1, 0, 1])  # t^2 - 1
         assert p.deflate(Fraction(1)) == UnivariatePoly.of([1, 1])

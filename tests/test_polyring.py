@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from projvf import (
     InputError,
+    Polynomial,
     VarContext,
     coefficient_of,
     homogeneous_degree,
@@ -18,7 +19,17 @@ from projvf import (
     substitute,
 )
 from projvf.verify import P4, QUADRIC
-from support import P4C, SMALL, all_monomials, evaluate, rand_homogeneous, rand_poly
+from support import (
+    P4C,
+    SMALL,
+    all_monomials,
+    evaluate,
+    mul_reference,
+    pow_reference,
+    rand_fraction,
+    rand_homogeneous,
+    rand_poly,
+)
 
 
 def test_canonical_form_is_unique():
@@ -84,6 +95,52 @@ class TestArithmetic:
         x0 = SMALL.variable("x0")
         assert (x0 + 1) ** 3 == x0**3 + 3 * x0**2 + 3 * x0 + 1
         assert (x0 + 1) ** 0 == SMALL.one()
+
+
+def parameter_polys(max_terms: int = 4):
+    """Random polynomials of P4C over its projective variables and parameters a, c."""
+    return st.builds(
+        lambda seed: rand_poly(random.Random(seed), P4C, max_degree=3, max_terms=max_terms, projective_only=False),
+        st.integers(0, 10**9),
+    )
+
+
+class TestAgainstReferences:
+    """The ring operators against the schoolbook routes of tests/support.py."""
+
+    @given(parameter_polys(), parameter_polys())
+    @settings(deadline=None)
+    def test_mul(self, p, q):
+        assert p * q == mul_reference(p, q)
+
+    @given(parameter_polys(max_terms=3), st.integers(0, 4))
+    @settings(deadline=None)
+    def test_pow(self, p, n):
+        assert p**n == pow_reference(p, n)
+
+    @given(st.integers(0, 10**9), st.integers(0, 7))
+    @settings(deadline=None)
+    def test_pow_of_one_negative_term(self, seed, n):
+        rng = random.Random(seed)
+        m = tuple(rng.randint(0, 2) for _ in range(P4C.nvars))
+        term = Polynomial(P4C, {m: -abs(rand_fraction(rng)) or -1})
+        power = term**n
+        assert power == pow_reference(term, n)
+        ((_, c),) = power.items()
+        assert (c < 0) == (n % 2 == 1)
+
+    def test_exponent_zero(self):
+        for p in (P4C.zero(), P4C.constant(-3), P4C.variable("a"), parse_poly("-2*x0^3*c", P4C)):
+            assert p**0 == P4C.one()
+
+    def test_init_rejects_negative_exponent(self):
+        with pytest.raises(InputError):
+            Polynomial(SMALL, {(1, -1, 0): 1})
+
+    def test_init_rejects_wrong_width(self):
+        for m in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(InputError):
+                Polynomial(SMALL, {m: 1})
 
 
 class TestDerivative:
