@@ -108,7 +108,10 @@ def load_problem(path: str) -> ProblemFile:
             isinstance(r, list) and all(isinstance(e, str) for e in r) for r in rows
         ):
             raise InputError("field 'D' must be a row-major list of lists of polynomial strings")
-        derivation = Derivation.from_rows(ctx, [[parse_poly(e, ctx) for e in row] for row in rows])
+        # each distinct entry once, in row-major order of first occurrence, so
+        # that the first bad entry is still the one reported
+        parsed = {e: parse_poly(e, ctx) for e in dict.fromkeys(e for row in rows for e in row)}
+        derivation = Derivation.from_rows(ctx, [[parsed[e] for e in row] for row in rows])
 
     ideal = None
     ideal_key = "ideal" if "ideal" in doc else "generators" if "generators" in doc else None

@@ -30,11 +30,9 @@ Entry = "Polynomial | Fraction | int"
 
 
 def _coerce_entry(ctx: VarContext, value: Entry) -> Polynomial:
-    if isinstance(value, Polynomial):
-        if value.context != ctx:
-            raise InputError("derivation entry lives in a different context")
-        return value
-    return ctx.constant(value)
+    """A constant as a polynomial; a polynomial as is, its context checked by
+    ``Derivation.__post_init__``."""
+    return value if isinstance(value, Polynomial) else ctx.constant(value)
 
 
 @dataclass(frozen=True)
@@ -48,12 +46,13 @@ class Derivation:
         n = self.context.nproj
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise InputError("derivation matrix must be square of size = number of projective variables")
-        for row in self.entries:
-            for p in row:
-                if p.context != self.context:
-                    raise InputError("derivation entry lives in a different context")
-                if not p.is_parameter_only():
-                    raise InputError(f"derivation entries must not involve projective variables: {p}")
+        # equal entries of a loaded problem file share one polynomial; each is
+        # checked once, in row-major order of first occurrence
+        for p in {id(p): p for row in self.entries for p in row}.values():
+            if p.context != self.context:
+                raise InputError("derivation entry lives in a different context")
+            if not p.is_parameter_only():
+                raise InputError(f"derivation entries must not involve projective variables: {p}")
 
     @classmethod
     def from_rows(cls, ctx: VarContext, rows: Sequence[Sequence[Entry]]) -> "Derivation":

@@ -2,16 +2,15 @@
 
 Grammar, tightest binding first:
 
-    power   :=  atom [ '^' INTEGER ]
-    unary   :=  '-' unary | power
-    term    :=  unary { ('*' | '/') unary }
+    factor  :=  { '-' } atom [ '^' INTEGER ]
+    term    :=  factor { ('*' | '/') factor }
     expr    :=  term { ('+' | '-') term }
     atom    :=  INTEGER | NAME | '(' expr ')'
 
 Implicit multiplication is rejected, exponents must be nonnegative integer
 literals of at most ``MAX_EXPONENT``, a power or a product may expand to at
 most ``MAX_TERMS`` terms, no coefficient may exceed ``MAX_COEFFICIENT_BITS``
-bits (checked at each power, product and sum), and '/' only accepts a
+bits (checked at each power, product, quotient and sum), and '/' only accepts a
 nonzero constant divisor (coefficients such as 1/2). Parentheses nest at
 most ``MAX_NESTING`` deep, so the recursion stays far from Python's limit.
 Every error carries the offset of the offending character.
@@ -22,10 +21,14 @@ from __future__ import annotations
 import math
 import string
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .errors import ParseError
-from .polyring import Polynomial, VarContext
+from .polyring import _ONE, Monomial, Polynomial, VarContext
+
+#: a parsed value: monomial -> nonzero coefficient
+_Terms = dict[Monomial, Fraction]
 
 _SYMBOLS = "+-*/^()"
 #: the digits of an integer literal: ASCII only, so that ``int`` never sees
@@ -36,7 +39,7 @@ _DIGITS = frozenset(string.digits)
 _NAME_START = frozenset(string.ascii_letters + "_")
 _NAME_CHARS = _NAME_START | _DIGITS
 
-#: deepest parenthesis nesting accepted (each level costs five Python frames)
+#: deepest parenthesis nesting accepted (each level costs four Python frames)
 MAX_NESTING = 50
 #: largest exponent literal accepted; the power is checked before it is expanded
 MAX_EXPONENT = 100
@@ -44,12 +47,12 @@ MAX_EXPONENT = 100
 #: power by the number of monomials of degree n in len(base) symbols, a
 #: product by len(a) * len(b) (committed inputs reach 15)
 MAX_TERMS = 1_000
-#: most bits in a numerator or denominator of a parsed polynomial. Powers and
-#: products are bounded before expanding, by n * bits(base) and bits(a) +
-#: bits(b), since nested powers of constants would otherwise grow coefficients
-#: exponentially in the text length. A sum is checked after each '+' or '-'
-#: on the coefficients it changed, and the result once more. The bound keeps
-#: every coefficient inside the 4,300 decimal digits that str() converts
+#: most bits in a numerator or denominator of a parsed polynomial. Powers,
+#: products and quotients are bounded before they are built, by n * bits(base)
+#: and bits(a) + bits(b), since nested powers of constants would otherwise grow
+#: coefficients exponentially in the text length. A sum is checked at each '+'
+#: or '-' on the coefficients it changed, and the result once more. The bound
+#: keeps every coefficient inside the 4,300 decimal digits that str() converts
 #: (about 14,000 bits)
 MAX_COEFFICIENT_BITS = 10_000
 
@@ -93,11 +96,16 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
+    """Recursive descent over the tokens. Every level returns a fresh term dict
+    (monomial -> nonzero Fraction) that no other value shares, so a sum adds
+    into its first term's dict and only ``parse_poly`` wraps the result."""
+
     def __init__(self, tokens: list[Token], ctx: VarContext):
         self.tokens = tokens
         self.ctx = ctx
         self.i = 0
         self.depth = 0
+        self.unit = ctx.unit_monomial()
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -107,73 +115,96 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> Polynomial:
-        value = self.term()
+    def expr(self) -> _Terms:
+        terms = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
+            negate = op.kind == "-"
             # a sum changes only the coefficients at rhs's monomials
-            if _coefficient_bits(value, rhs._terms) > MAX_COEFFICIENT_BITS:
-                raise ParseError(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits", op.pos)
-        return value
+            for m, c in self.term().items():
+                s = terms.get(m)
+                if s is None:
+                    s = -c if negate else c
+                else:
+                    s = s - c if negate else s + c
+                if not s:
+                    del terms[m]
+                    continue
+                if _bits(s) > MAX_COEFFICIENT_BITS:
+                    raise ParseError(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits", op.pos)
+                terms[m] = s
+        return terms
 
-    def term(self) -> Polynomial:
-        value = self.unary()
+    def term(self) -> _Terms:
+        value = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
-            rhs = self.unary()
+            rhs = self.factor()
             if op.kind == "*":
                 if len(value) * len(rhs) > MAX_TERMS:
                     raise ParseError(f"product may expand to more than {MAX_TERMS} terms", op.pos)
                 if _coefficient_bits(value) + _coefficient_bits(rhs) > MAX_COEFFICIENT_BITS:
                     raise ParseError(f"product may build coefficients over {MAX_COEFFICIENT_BITS} bits", op.pos)
-                value = value * rhs
+                if len(value) == len(rhs) == 1:  # c*x^m times c2*x^m2, the usual case
+                    ((m, c),) = value.items()
+                    ((m2, c2),) = rhs.items()
+                    value = {tuple(map(add, m, m2)): c * c2}
+                else:
+                    value = (Polynomial._trusted(self.ctx, value) * Polynomial._trusted(self.ctx, rhs))._terms
             else:
-                if not rhs.is_constant():
+                if len(rhs) > 1 or (rhs and self.unit not in rhs):
                     raise ParseError("division by a non-constant expression", op.pos)
-                divisor = rhs.constant_value()
-                if not divisor:
+                if not rhs:
                     raise ParseError("division by zero", op.pos)
-                value = value * (Fraction(1) / divisor)
+                divisor = rhs[self.unit]
+                if _coefficient_bits(value) + _bits(divisor) > MAX_COEFFICIENT_BITS:
+                    raise ParseError(f"quotient may build coefficients over {MAX_COEFFICIENT_BITS} bits", op.pos)
+                value = {m: c / divisor for m, c in value.items()}
         return value
 
-    def unary(self) -> Polynomial:
+    def factor(self) -> _Terms:
+        """{'-'} atom ['^' INTEGER]: the unary minus binds looser than '^'."""
         negate = False
         while self.peek().kind == "-":
             self.advance()
             negate = not negate
-        value = self.power()
-        return -value if negate else value
-
-    def power(self) -> Polynomial:
-        base = self.atom()
+        value = self.atom()
         if self.peek().kind == "^":
-            caret = self.advance()
-            exp = self.peek()
-            if exp.kind == "-":
-                raise ParseError("negative exponents are not allowed", exp.pos)
-            if exp.kind != "int":
-                raise ParseError("exponent must be a nonnegative integer literal", caret.pos)
-            self.advance()
-            n = _integer(exp)
-            if n > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds the maximum of {MAX_EXPONENT}", exp.pos)
-            if len(base) > 1 and math.comb(len(base) + n - 1, n) > MAX_TERMS:
-                raise ParseError(f"power may expand to more than {MAX_TERMS} terms", caret.pos)
-            if _coefficient_bits(base) * n > MAX_COEFFICIENT_BITS:
-                raise ParseError(f"power may build coefficients over {MAX_COEFFICIENT_BITS} bits", caret.pos)
-            return base**n
-        return base
+            value = self.power(value)
+        return {m: -c for m, c in value.items()} if negate else value
 
-    def atom(self) -> Polynomial:
+    def power(self, base: _Terms) -> _Terms:
+        caret = self.advance()
+        exp = self.peek()
+        if exp.kind == "-":
+            raise ParseError("negative exponents are not allowed", exp.pos)
+        if exp.kind != "int":
+            raise ParseError("exponent must be a nonnegative integer literal", caret.pos)
+        self.advance()
+        n = _integer(exp)
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds the maximum of {MAX_EXPONENT}", exp.pos)
+        if len(base) > 1 and math.comb(len(base) + n - 1, n) > MAX_TERMS:
+            raise ParseError(f"power may expand to more than {MAX_TERMS} terms", caret.pos)
+        if _coefficient_bits(base) * n > MAX_COEFFICIENT_BITS:
+            raise ParseError(f"power may build coefficients over {MAX_COEFFICIENT_BITS} bits", caret.pos)
+        if len(base) == 1:  # (c*x^m)^n = c^n * x^(n*m); a variable's c is _ONE
+            ((m, c),) = base.items()
+            return {tuple([e * n for e in m]): c if c is _ONE else c**n}
+        return (Polynomial._trusted(self.ctx, base) ** n)._terms
+
+    def atom(self) -> _Terms:
         tok = self.advance()
         if tok.kind == "int":
-            return self.ctx.constant(_integer(tok))
+            value = _integer(tok)
+            return {self.unit: Fraction(value)} if value else {}
         if tok.kind == "name":
-            if tok.text not in self.ctx.names:
+            names = self.ctx.names
+            if tok.text not in names:
                 raise ParseError(f"undeclared identifier {tok.text!r}", tok.pos)
-            return self.ctx.variable(tok.text)
+            m = list(self.unit)
+            m[names.index(tok.text)] = 1
+            return {tuple(m): _ONE}
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", tok.pos)
@@ -189,12 +220,15 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
 
-def _coefficient_bits(p: Polynomial, monomials=None) -> int:
-    """Bits in the largest numerator or denominator among p's coefficients, or
-    among those at ``monomials`` when given (0 when there are none)."""
-    terms = p._terms
-    coefficients = terms.values() if monomials is None else [terms[m] for m in monomials if m in terms]
-    return max([(abs(c.numerator) | c.denominator).bit_length() for c in coefficients], default=0)
+def _bits(c: Fraction) -> int:
+    """Bits in the larger of c's numerator and denominator."""
+    return (abs(c.numerator) | c.denominator).bit_length()
+
+
+def _coefficient_bits(terms: _Terms) -> int:
+    """Bits in the largest numerator or denominator among the coefficients (0
+    for no terms); a one-term operand reads its one coefficient."""
+    return max(map(_bits, terms.values()), default=0)
 
 
 def _integer(tok: Token) -> int:
@@ -207,12 +241,12 @@ def _integer(tok: Token) -> int:
 def parse_poly(text: str, ctx: VarContext) -> Polynomial:
     """Parse polynomial text against a declared variable context."""
     parser = _Parser(tokenize(text), ctx)
-    value = parser.expr()
+    terms = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
-    # sums are checked at each operator; a quotient may still exceed the bound,
-    # by at most its divisor's bits
-    if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
+    # each operator measures what it builds; a literal that none measured,
+    # such as a sum's first term, is measured here
+    if _coefficient_bits(terms) > MAX_COEFFICIENT_BITS:
         raise ParseError(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits", 0)
-    return value
+    return Polynomial._trusted(ctx, terms)

@@ -193,6 +193,30 @@ class TestInputErrors:
         assert "budget" in capsys.readouterr().err
 
 
+class TestLoadProblem:
+    def test_first_bad_derivation_entry_in_row_major_order(self, problem, capsys):
+        # each distinct entry is parsed once, and "2 + b" is still the first
+        # bad entry in row-major order, ahead of "c + 1" (twice), "d" and "e*2"
+        rows = [["0", "0", "0"], ["1", "2 + b", "c + 1"], ["c + 1", "d", "e*2"]]
+        doc = {"vars": ["x0", "x1", "x2"], "D": rows}
+        assert run(["zeros", problem(doc)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: undeclared identifier 'b' (at position 4)\n"
+        rows[1][1] = "2"
+        assert run(["zeros", problem(doc)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: undeclared identifier 'c' (at position 0)\n"
+
+    def test_rewritten_file_gives_the_new_answer(self, problem, capsys):
+        # no parse survives a call: the same path, rewritten, is read afresh
+        path = problem(QUADRIC_PROBLEM)
+        assert run(["zeros", path]) == 0
+        before = capsys.readouterr().out
+        assert problem(EULER_PROBLEM) == path  # the same file, rewritten
+        assert run(["zeros", path]) == 0
+        after = capsys.readouterr().out
+        assert run(["zeros", problem(EULER_PROBLEM, name="fresh.json")]) == 0
+        assert capsys.readouterr().out == after != before
+
+
 class TestVerifySuite:
     def test_all_pass(self, capsys, monkeypatch):
         monkeypatch.setenv("NO_COLOR", "1")

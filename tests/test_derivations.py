@@ -35,6 +35,20 @@ class TestConstruction:
         with pytest.raises(InputError):
             Derivation.from_rows(P4, bad)
 
+    def test_rejects_foreign_context_entries_alike(self):
+        # P4C has P4's projective names, but a different context
+        foreign = P4C.constant(1)
+        rows = [[foreign] + [0] * 4] + [[0] * 5 for _ in range(4)]
+        entries = tuple(tuple(e if isinstance(e, Polynomial) else P4.constant(e) for e in row) for row in rows)
+        for build in (
+            lambda: Derivation.from_rows(P4, rows),
+            lambda: Derivation(P4, entries),
+            lambda: Derivation.diagonal(P4, [foreign, 0, 0, 0, 0]),
+        ):
+            with pytest.raises(InputError) as err:
+                build()
+            assert str(err.value) == "derivation entry lives in a different context"
+
     def test_rejects_wrong_size(self):
         with pytest.raises(InputError):
             Derivation.from_rows(P4, [[0] * 4 for _ in range(4)])

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -205,24 +206,42 @@ class TestLimits:
             parse_poly(text, SMALL)
         assert err.value.position == text.index("+", text.index(")*x0"))
         assert "a coefficient has more than" in str(err.value)
-        # each sum measures only the coefficient it changed (powers measure
-        # their one-term base); the whole result is measured once, at the end
+        # each power measures its one-term base's one coefficient, each sum
+        # only the coefficient it changed, and the end the whole result once
         measured = []
-        bits = parser._coefficient_bits
+        bits = parser._bits
 
-        def counting(p, monomials=None):
-            measured.append(len(p) if monomials is None else len(monomials))
-            return bits(p, monomials)
+        def counting(c):
+            measured.append(c)
+            return bits(c)
 
-        monkeypatch.setattr(parser, "_coefficient_bits", counting)
+        monkeypatch.setattr(parser, "_bits", counting)
         parse_poly(" + ".join(f"x0^{i}" for i in range(MAX_EXPONENT)), SMALL)
-        assert set(measured[:-1]) == {1} and measured[-1] == MAX_EXPONENT
+        powers, sums, end = MAX_EXPONENT, MAX_EXPONENT - 1, MAX_EXPONENT
+        assert len(measured) == powers + sums + end
 
-    def test_quotient_is_caught_by_the_final_check(self):
-        # 3^6000 * 7^3000 has 17,932 bits although every factor is within bound
+    def test_quotient_is_rejected_at_its_operator(self):
+        # 3^6000 * 7^3000 has 17,932 bits although every factor is within
+        # bound; once caught only by the final check, at position 0
+        text = "(3^100)^60/(1/(7^100)^30)"
+        with pytest.raises(ParseError, match="quotient may build coefficients over") as err:
+            parse_poly(text, SMALL)
+        assert err.value.position == text.index("/")
+        # bounded by the sum of the bits, as a product is
+        n = MAX_COEFFICIENT_BITS // 101
+        free = MAX_COEFFICIENT_BITS - (100 * n + 1)
+        assert parse_poly(f"(2^100)^{n}/2^{free - 1}", SMALL) == Fraction(2 ** (100 * n), 2 ** (free - 1))
         with pytest.raises(ParseError) as err:
-            parse_poly("(3^100)^60/(1/(7^100)^30)", SMALL)
-        assert err.value.position == 0
+            parse_poly(f"(2^100)^{n}/2^{free}", SMALL)
+        assert err.value.position == len(f"(2^100)^{n}")
+
+    def test_unmeasured_literal_is_caught_by_the_final_check(self):
+        # no operator measures a lone literal or a sum's first term
+        literal = "7" * 3100  # 10,298 bits
+        for text in (literal, f"-({literal})", f"{literal} + x0"):
+            with pytest.raises(ParseError, match="a coefficient has more than") as err:
+                parse_poly(text, SMALL)
+            assert err.value.position == 0
 
     def test_overlong_integer_literal(self):
         for text in ("x0^" + "9" * 5000, "9" * 5000 + "*x0"):
@@ -231,6 +250,31 @@ class TestLimits:
 
     def test_long_unary_minus_chain(self):
         assert parse_poly("-" * 5001 + "x0", SMALL) == -SMALL.variable("x0")
+
+
+with open(os.path.join(os.path.dirname(__file__), "parse_errors.json"), encoding="utf-8") as _fh:
+    RECORDED_ERRORS = json.load(_fh)
+
+
+class TestErrorReplay:
+    """The errors recorded by tests/record_parse_errors.py, replayed."""
+
+    def test_every_recorded_error_replays(self):
+        ctx = VarContext(tuple(RECORDED_ERRORS["projective"]), tuple(RECORDED_ERRORS["parameters"]))
+        quotients = 0
+        for entry in RECORDED_ERRORS["errors"]:
+            text = entry["text"]
+            with pytest.raises(ParseError) as err:
+                parse_poly(text, ctx)
+            if (str(err.value), err.value.position) == (entry["message"], entry["position"]):
+                continue
+            # the one recorded change: a quotient over the coefficient cap is
+            # rejected at its '/', no longer by a later sum or the final check
+            assert str(err.value).startswith("quotient may build coefficients over"), text
+            assert text[err.value.position] == "/", text
+            assert entry["message"].startswith("a coefficient has more than"), text
+            quotients += 1
+        assert len(RECORDED_ERRORS["errors"]) == 300 and quotients == 3
 
 
 @given(st.integers(0, 10**9))
