@@ -12,8 +12,9 @@ objects a subcommand needs::
     }
 
 Exit codes: 0 affirmative/success, 1 negative verdict, 2 input error,
-3 resource-cap exceeded, 4 internal error, which includes a standard output
-closed before ``run`` has flushed its report.
+3 resource-cap exceeded (a step budget, or a result number too long to print),
+4 internal error, which includes a standard output closed before ``run`` has
+flushed its report.
 
 Each ``cmd_*`` handler takes the loaded problem (``None`` for subcommands
 without a file) and returns its JSON payload, its text report and its
@@ -332,8 +333,14 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         problem = load_problem(args.file) if "file" in args else None
-        payload, text, ok = args.fn(problem, args)
-        print(json.dumps(payload, indent=2, sort_keys=False) if args.json else text, flush=True)
+        try:
+            payload, text, ok = args.fn(problem, args)
+            print(json.dumps(payload, indent=2, sort_keys=False) if args.json else text, flush=True)
+        except ValueError as exc:  # str() of a result integer past the interpreter's digit limit
+            if "integer string conversion" not in str(exc):
+                raise
+            limit = sys.get_int_max_str_digits()
+            raise ResourceLimitError(f"a result holds a number of more than {limit} digits, too long to print") from None
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -21,7 +21,8 @@ class ParseError(InputError):
 
 
 class ResourceLimitError(ToolError):
-    """A computation exceeded its configured step budget."""
+    """A computation exceeded its configured step budget, or a result holds a
+    number too long to print."""
 
 
 class _Budget:

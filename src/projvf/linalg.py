@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_MAX_STEPS, InputError, _Budget
+from .polyring import _signed_sum
 
 #: the zero every result shares; Fractions are immutable
 _ZERO = Fraction(0)
@@ -66,23 +67,8 @@ class UnivariatePoly:
         return UnivariatePoly.of(out)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                mag = str(abs(c))
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                mag = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not pieces:
-                pieces.append(f"-{mag}" if c < 0 else mag)
-            else:
-                pieces.append(f"- {mag}" if c < 0 else f"+ {mag}")
-        return " ".join(pieces)
+        terms = [(c, "" if e == 0 else "t" if e == 1 else f"t^{e}") for e, c in enumerate(self.coeffs) if c]
+        return _signed_sum(reversed(terms))
 
 
 class RatMatrix:

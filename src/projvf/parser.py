@@ -21,14 +21,10 @@ from __future__ import annotations
 import math
 import string
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple
 
 from .errors import ParseError
-from .polyring import _ONE, Monomial, Polynomial, VarContext
-
-#: a parsed value: monomial -> nonzero coefficient
-_Terms = dict[Monomial, Fraction]
+from .polyring import Polynomial, VarContext
 
 _SYMBOLS = "+-*/^()"
 #: the digits of an integer literal: ASCII only, so that ``int`` never sees
@@ -96,16 +92,14 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    """Recursive descent over the tokens. Every level returns a fresh term dict
-    (monomial -> nonzero Fraction) that no other value shares, so a sum adds
-    into its first term's dict and only ``parse_poly`` wraps the result."""
+    """Recursive descent over the tokens. Every level returns a Polynomial
+    built by the ring; only ``expr`` sums in place, into one term dict."""
 
     def __init__(self, tokens: list[Token], ctx: VarContext):
         self.tokens = tokens
         self.ctx = ctx
         self.i = 0
         self.depth = 0
-        self.unit = ctx.unit_monomial()
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -115,13 +109,14 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> _Terms:
-        terms = self.term()
+    def expr(self) -> Polynomial:
+        # in place, so that a long sum stays linear in time and each '+' or
+        # '-' measures only the coefficients it changed
+        terms = dict(self.term()._terms)
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             negate = op.kind == "-"
-            # a sum changes only the coefficients at rhs's monomials
-            for m, c in self.term().items():
+            for m, c in self.term()._terms.items():
                 s = terms.get(m)
                 if s is None:
                     s = -c if negate else c
@@ -133,9 +128,9 @@ class _Parser:
                 if _bits(s) > MAX_COEFFICIENT_BITS:
                     raise ParseError(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits", op.pos)
                 terms[m] = s
-        return terms
+        return Polynomial._trusted(self.ctx, terms)
 
-    def term(self) -> _Terms:
+    def term(self) -> Polynomial:
         value = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
@@ -145,24 +140,19 @@ class _Parser:
                     raise ParseError(f"product may expand to more than {MAX_TERMS} terms", op.pos)
                 if _coefficient_bits(value) + _coefficient_bits(rhs) > MAX_COEFFICIENT_BITS:
                     raise ParseError(f"product may build coefficients over {MAX_COEFFICIENT_BITS} bits", op.pos)
-                if len(value) == len(rhs) == 1:  # c*x^m times c2*x^m2, the usual case
-                    ((m, c),) = value.items()
-                    ((m2, c2),) = rhs.items()
-                    value = {tuple(map(add, m, m2)): c * c2}
-                else:
-                    value = (Polynomial._trusted(self.ctx, value) * Polynomial._trusted(self.ctx, rhs))._terms
+                value = value * rhs
             else:
-                if len(rhs) > 1 or (rhs and self.unit not in rhs):
+                if not rhs.is_constant():
                     raise ParseError("division by a non-constant expression", op.pos)
                 if not rhs:
                     raise ParseError("division by zero", op.pos)
-                divisor = rhs[self.unit]
+                divisor = rhs.constant_value()
                 if _coefficient_bits(value) + _bits(divisor) > MAX_COEFFICIENT_BITS:
                     raise ParseError(f"quotient may build coefficients over {MAX_COEFFICIENT_BITS} bits", op.pos)
-                value = {m: c / divisor for m, c in value.items()}
+                value = value * (1 / divisor)
         return value
 
-    def factor(self) -> _Terms:
+    def factor(self) -> Polynomial:
         """{'-'} atom ['^' INTEGER]: the unary minus binds looser than '^'."""
         negate = False
         while self.peek().kind == "-":
@@ -171,9 +161,9 @@ class _Parser:
         value = self.atom()
         if self.peek().kind == "^":
             value = self.power(value)
-        return {m: -c for m, c in value.items()} if negate else value
+        return -value if negate else value
 
-    def power(self, base: _Terms) -> _Terms:
+    def power(self, base: Polynomial) -> Polynomial:
         caret = self.advance()
         exp = self.peek()
         if exp.kind == "-":
@@ -188,23 +178,16 @@ class _Parser:
             raise ParseError(f"power may expand to more than {MAX_TERMS} terms", caret.pos)
         if _coefficient_bits(base) * n > MAX_COEFFICIENT_BITS:
             raise ParseError(f"power may build coefficients over {MAX_COEFFICIENT_BITS} bits", caret.pos)
-        if len(base) == 1:  # (c*x^m)^n = c^n * x^(n*m); a variable's c is _ONE
-            ((m, c),) = base.items()
-            return {tuple([e * n for e in m]): c if c is _ONE else c**n}
-        return (Polynomial._trusted(self.ctx, base) ** n)._terms
+        return base**n
 
-    def atom(self) -> _Terms:
+    def atom(self) -> Polynomial:
         tok = self.advance()
         if tok.kind == "int":
-            value = _integer(tok)
-            return {self.unit: Fraction(value)} if value else {}
+            return self.ctx.constant(_integer(tok))
         if tok.kind == "name":
-            names = self.ctx.names
-            if tok.text not in names:
+            if tok.text not in self.ctx.names:
                 raise ParseError(f"undeclared identifier {tok.text!r}", tok.pos)
-            m = list(self.unit)
-            m[names.index(tok.text)] = 1
-            return {tuple(m): _ONE}
+            return self.ctx.variable(tok.text)
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", tok.pos)
@@ -225,10 +208,10 @@ def _bits(c: Fraction) -> int:
     return (abs(c.numerator) | c.denominator).bit_length()
 
 
-def _coefficient_bits(terms: _Terms) -> int:
-    """Bits in the largest numerator or denominator among the coefficients (0
-    for no terms); a one-term operand reads its one coefficient."""
-    return max(map(_bits, terms.values()), default=0)
+def _coefficient_bits(p: Polynomial) -> int:
+    """Bits in the largest numerator or denominator among p's coefficients
+    (0 for the zero polynomial)."""
+    return max(map(_bits, p._terms.values()), default=0)
 
 
 def _integer(tok: Token) -> int:
@@ -241,12 +224,12 @@ def _integer(tok: Token) -> int:
 def parse_poly(text: str, ctx: VarContext) -> Polynomial:
     """Parse polynomial text against a declared variable context."""
     parser = _Parser(tokenize(text), ctx)
-    terms = parser.expr()
+    value = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
     # each operator measures what it builds; a literal that none measured,
     # such as a sum's first term, is measured here
-    if _coefficient_bits(terms) > MAX_COEFFICIENT_BITS:
+    if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
         raise ParseError(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits", 0)
-    return Polynomial._trusted(ctx, terms)
+    return value

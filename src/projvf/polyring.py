@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Literal, Mapping, Union
+from typing import Iterable, Literal, Mapping, Union
 
 from .errors import InputError
 
@@ -285,16 +285,7 @@ class Polynomial:
         return hash((self.context, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for m, c in self.items():
-            mag = _term_str(self.context, m, abs(c))
-            if not pieces:
-                pieces.append(f"-{mag}" if c < 0 else mag)
-            else:
-                pieces.append(f"- {mag}" if c < 0 else f"+ {mag}")
-        return " ".join(pieces)
+        return _signed_sum((c, _factor_str(self.context, m)) for m, c in self.items())
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
@@ -314,13 +305,24 @@ def _factor_str(ctx: VarContext, m: Monomial) -> str:
     return "*".join(factors)
 
 
-def _term_str(ctx: VarContext, m: Monomial, mag: Fraction) -> str:
-    factors = _factor_str(ctx, m)
-    if not factors:
-        return str(mag)
-    if mag == 1:
-        return factors
-    return f"{mag}*{factors}"
+def _signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Join nonzero (coefficient, factor text) terms, in print order, into a
+    signed sum such as "-2*x0^2 + x1 - 1/2": "0" when there are none, and a
+    magnitude of 1 left out before factors."""
+    pieces: list[str] = []
+    for c, factors in terms:
+        mag = abs(c)
+        if not factors:
+            text = str(mag)
+        elif mag == 1:
+            text = factors
+        else:
+            text = f"{mag}*{factors}"
+        if not pieces:
+            pieces.append(f"-{text}" if c < 0 else text)
+        else:
+            pieces.append(f"- {text}" if c < 0 else f"+ {text}")
+    return " ".join(pieces) if pieces else "0"
 
 
 # -- operations --------------------------------------------------------------

@@ -39,10 +39,8 @@ P3 = VarContext(("x0", "x1", "x2", "x3"))
 
 QUADRIC = parse_poly("x0^2 + x1^2 + x2^2 + x3*x4", P4)
 QUADRIC_FIELD = Derivation.diagonal(P4, (0, 0, 0, 1, -1))
-QUADRIC_CURVE = Ideal.spanned_by(
-    P4, (parse_poly("x0^2 + x1^2 + x2^2", P4), parse_poly("x3", P4), parse_poly("x4", P4))
-)
 CONE = parse_poly("x0^2 + x1^2 + x2^2", P4)
+QUADRIC_CURVE = Ideal.spanned_by(P4, (CONE, P4.variable("x3"), P4.variable("x4")))
 FERMAT = {d: parse_poly(" + ".join(f"x{i}^{d}" for i in range(5)), P4) for d in (2, 3, 4)}
 LINE_FIELD = Derivation.diagonal(P3, (0, 0, 1, 1))
 
@@ -129,8 +127,8 @@ def _stabilizer_dimensions() -> tuple[bool, str]:
 def _cone_decomposition() -> tuple[bool, str]:
     shape = cone_shape(QUADRIC)
     ok = (
-        shape.base == parse_poly("x0^2 + x1^2 + x2^2", P4)
-        and shape.cofactor == parse_poly("x3", P4)
+        shape.base == CONE
+        and shape.cofactor == P4.variable("x3")
         and shape.x3_top == 1
         and shape.x4_top == (Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(0))
     )

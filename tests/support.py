@@ -7,6 +7,7 @@ dicts, so Groebner results are checked against a second, unrelated route.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from operator import sub
@@ -20,6 +21,7 @@ from projvf import (
     RatMatrix,
     UnivariatePoly,
     VarContext,
+    homogeneous_degree,
     kernel_basis,
     monomials_of_degree,
     order_key,
@@ -334,3 +336,21 @@ def brute_force_member(f: Polynomial, generators, extra_degree: int = 4) -> bool
         if b >= floor and stable >= 2:
             return False
     return False
+
+
+def macaulay_smooth(h: Polynomial) -> bool:
+    """Smoothness of a parameter-free form h of degree d >= 2 in N projective
+    variables, by linear algebra alone (Macaulay 1916). If h is smooth, its
+    partials form a regular sequence, and the Jacobian ring vanishes above
+    its socle degree N(d - 2); if h is singular, the ring is nonzero in every
+    degree. So h is smooth exactly when the partials, each times every
+    monomial of degree D - d + 1, span all C(D + N - 1, N - 1) monomials of
+    degree D = N(d - 2) + 1."""
+    ctx = h.context
+    n = ctx.nproj
+    d = homogeneous_degree(h)
+    assert isinstance(d, int) and d >= 2, "the oracle takes a nonzero form of degree >= 2"
+    top = n * (d - 2) + 1
+    shifts = monomials_of_degree(ctx, top - d + 1)
+    rows = [poly_row(partial_derivative(h, v).mul_term(m, 1)) for v in ctx.projective for m in shifts]
+    return dict_rows_rank(rows) == math.comb(top + n - 1, n - 1)

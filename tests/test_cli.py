@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from projvf import Polynomial, cli
+from projvf import Polynomial, cli, verify
 from projvf.cli import run
 from projvf.parser import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_TERMS
 
@@ -176,6 +176,10 @@ class TestInputErrors:
         assert run(["smooth", problem(doc)]) == 2
         assert "x9" in capsys.readouterr().err
 
+    def test_empty_vars(self, problem, capsys):
+        assert run(["gb", problem({"vars": [], "ideal": ["x0"]})]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: problem file must declare 'vars'\n"
+
     def test_missing_required_field(self, problem, capsys):
         doc = {"vars": ["x0", "x1"]}
         assert run(["smooth", problem(doc)]) == 2
@@ -231,6 +235,39 @@ class TestVerifySuite:
         doc = json.loads(capsys.readouterr().out)
         assert all(check["ok"] for check in doc["checks"])
         assert len(doc["checks"]) == 13
+
+    @staticmethod
+    def two_checks(monkeypatch):
+        """One passing check and one that raises in place of the golden ones."""
+
+        def boom():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "CHECKS", (("sound", lambda: (True, "fine")), ("broken", boom)))
+
+    def test_a_raising_check_is_a_fail_line(self, capsys, monkeypatch):
+        self.two_checks(monkeypatch)
+        assert verify.run_all() == [
+            verify.CheckResult("sound", True, "fine"),
+            verify.CheckResult("broken", False, "raised RuntimeError: boom"),
+        ]
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert run(["verify-paper"]) == cli.EXIT_NEGATIVE
+        assert capsys.readouterr().out == "PASS sound: fine\nFAIL broken: raised RuntimeError: boom\n1/2 checks passed\n"
+
+    def test_colours_verdicts_on_a_terminal(self, capsys, monkeypatch):
+        self.two_checks(monkeypatch)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        assert run(["verify-paper"]) == cli.EXIT_NEGATIVE
+        out = capsys.readouterr().out
+        assert out.splitlines()[:2] == [
+            "\x1b[32mPASS\x1b[0m sound: fine",
+            "\x1b[31mFAIL\x1b[0m broken: raised RuntimeError: boom",
+        ]
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert run(["verify-paper"]) == cli.EXIT_NEGATIVE
+        assert capsys.readouterr().out.startswith("PASS sound: fine\nFAIL broken:")
 
 
 def _case_rows(rows):
@@ -517,6 +554,33 @@ class TestParserLimits:
         assert "a coefficient has more than" in capsys.readouterr().err
 
 
+class TestResultTooLongToPrint:
+    """A result holding an integer longer than str() converts is a resource
+    cap (exit 3), not a crash (exit 4); once it read "internal error"."""
+
+    C = "1" + "0" * 2000  # x0 - C^3*x3 in the basis: a 6,001-digit coefficient
+    GB_PROBLEM = {"vars": ["x0", "x1", "x2", "x3"], "ideal": [f"x0 - {C}*x1", f"x1 - {C}*x2", f"x2 - {C}*x3"]}
+    ERROR = f"error: a result holds a number of more than {sys.get_int_max_str_digits()} digits, too long to print\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_groebner_basis_coefficient(self, mode, problem, capsys):
+        assert run(["gb", *mode, problem(self.GB_PROBLEM)]) == cli.EXIT_RESOURCE
+        assert capsys.readouterr() == ("", self.ERROR)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_genus(self, mode, capsys):
+        assert run(["genus", *mode, "9" * 1500, "2"]) == cli.EXIT_RESOURCE
+        assert capsys.readouterr() == ("", self.ERROR)
+
+    def test_other_value_errors_stay_internal(self, monkeypatch, capsys):
+        def boom(problem, args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "cmd_cases", boom)
+        assert run(["cases"]) == cli.EXIT_INTERNAL
+        assert capsys.readouterr() == ("", "error: internal error: ValueError: boom\n")
+
+
 class TestRootSearchBudget:
     def test_huge_constant_term_exits_3(self, problem, capsys):
         a0 = (10**15 + 37) * (10**3 + 9)
@@ -600,6 +664,10 @@ class TestModuleEntryPoint:
         assert done.returncode == cli.EXIT_INPUT
         assert done.stdout == ""
         assert "exponent exceeds the maximum" in done.stderr
+
+    def test_result_too_long_to_print_exits_3(self, problem):
+        done = self.run_module("gb", problem(TestResultTooLongToPrint.GB_PROBLEM))
+        assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_RESOURCE, "", TestResultTooLongToPrint.ERROR)
 
     def test_verify_paper_matches_run(self, capsys, monkeypatch):
         monkeypatch.setenv("NO_COLOR", "1")

@@ -37,6 +37,7 @@ from support import (
     euler,
     evaluate,
     identity,
+    macaulay_smooth,
     mat_mul,
     rand_homogeneous,
     rand_poly,
@@ -608,6 +609,23 @@ def homogeneous_inputs(draw):
     if draw(st.booleans()) == (h.leading_term()[1] > 0):
         h = -h
     return h
+
+
+class TestMacaulayOracle:
+    """The engine's smoothness verdicts agree with the rank of the Macaulay
+    matrix of the partials, a route with no Groebner basis."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_agrees_on_quadrics_and_cubics_in_p3(self, seed):
+        rng = random.Random(f"macaulay:{seed}")
+        verdicts = []
+        for degree, count in ((2, 24), (3, 12)):
+            for _ in range(count):
+                h = rand_homogeneous(rng, P3, degree, max_terms=rng.randint(3, 12))
+                if h:
+                    verdicts.append(is_smooth_projective(h))
+                    assert verdicts[-1] == macaulay_smooth(h), str(h)
+        assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
 class TestPackedGradient:
