@@ -82,6 +82,9 @@ def load_problem(path: str) -> ProblemFile:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc.msg} (at position {exc.pos})") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"invalid JSON in {path}: a number has more than {limit} digits") from exc
     if not isinstance(doc, dict):
         raise InputError(f"problem file {path} must contain a JSON object")
 

@@ -1,10 +1,10 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here is deterministic. Row reduction and the characteristic
-polynomial compute on integers, with Fractions only in inputs and results;
-row reduction is fraction-free elimination that keeps each new row primitive
-and takes the first nonzero pivot (exact arithmetic needs no magnitude
-pivoting). Kernel bases set free variables to one in column order, and only
+Everything here is deterministic. Row reduction, the characteristic
+polynomial and the rational root search compute on integers, with Fractions
+only in inputs and results; row reduction is fraction-free elimination that
+keeps each new row primitive and takes the first nonzero pivot (exact
+arithmetic needs no magnitude pivoting). Kernel bases set free variables to one in column order, and only
 rational eigenvalues are materialised; the rest of the spectrum is the
 unfactored residual of the characteristic polynomial, never approximated.
 """
@@ -42,29 +42,6 @@ class UnivariatePoly:
 
     def is_one(self) -> bool:
         return self.coeffs == (Fraction(1),)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        """Value at x = num/den, by Horner's rule on integers: with the
-        coefficients a_k/s over their common denominator s, the value is
-        sum a_k num^k den^(n-k) / (s den^n)."""
-        num, den = x.numerator, x.denominator
-        s = math.lcm(*(c.denominator for c in self.coeffs))
-        acc, scale = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * num + c.numerator * (s // c.denominator) * scale
-            scale *= den
-        return Fraction(acc, s * scale // den) if acc else _ZERO
-
-    def deflate(self, root: Fraction) -> "UnivariatePoly":
-        """Divide by (t - root); the root must be exact."""
-        if self(root):
-            raise InputError("deflation by a non-root")
-        out = [Fraction(0)] * (len(self.coeffs) - 1)
-        carry = Fraction(0)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[k] + carry * root
-            out[k - 1] = carry
-        return UnivariatePoly.of(out)
 
     def __str__(self) -> str:
         terms = [(c, "" if e == 0 else "t" if e == 1 else f"t^{e}") for e, c in enumerate(self.coeffs) if c]
@@ -189,48 +166,55 @@ class EigenDecomposition:
 
 def _divisors(n: int) -> list[int]:
     """Positive divisors of n != 0, by isqrt(|n|) trial divisions."""
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+    return sorted({*small, *(abs(n) // d for d in small)})
+
+
+def _divide_out(Q: list[int], num: int, den: int) -> list[int] | None:
+    """Q/(den*t - num) if num/den, in lowest terms, is a root of the integer
+    polynomial Q (ascending), else None. Top coefficient first, each
+    S_(k-1) = (Q_k + num*S_k)/den must be exact and Q_0 + num*S_0 must be 0;
+    by Gauss's lemma a root leaves an integral quotient."""
+    S = [0] * (len(Q) - 1)
+    s = 0
+    for k in range(len(Q) - 1, 0, -1):
+        s, r = divmod(Q[k] + num * s, den)
+        if r:
+            return None
+        S[k - 1] = s
+    return None if Q[0] + num * s else S
 
 
 def _rational_roots(q: UnivariatePoly, max_steps: int) -> tuple[list[tuple[Fraction, int]], UnivariatePoly]:
     """All rational roots with multiplicities, plus the unfactored remainder.
 
+    q is scaled once to the integer polynomial Q = scale*q; each candidate
+    ±num/den, num and den divisors of Q's constant and leading coefficients,
+    is divided out while it is a root, and the remainder is Q made monic.
     Each trial division and each candidate root costs one step; both are
     charged before the work starts, and a search over ``max_steps`` raises
     :class:`ResourceLimitError`.
     """
-    roots: list[tuple[Fraction, int]] = []
-    zero_mult = 0
-    while q.degree >= 1 and not q.coeffs[0]:
-        q = UnivariatePoly.of(q.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if q.degree >= 1:
-        scale = math.lcm(*(c.denominator for c in q.coeffs))
-        const, lead = int(q.coeffs[0] * scale), int(q.coeffs[-1] * scale)
+    scale = math.lcm(*(c.denominator for c in q.coeffs))
+    Q = [c.numerator * (scale // c.denominator) for c in q.coeffs]
+    zero_mult = next(k for k, c in enumerate(Q) if c)
+    del Q[:zero_mult]
+    found = [(0, 1, zero_mult)] if zero_mult else []
+    if len(Q) > 1:
         budget = _Budget(max_steps, "rational root search")
-        budget.spend(math.isqrt(abs(const)) + math.isqrt(abs(lead)))
-        nums, dens = _divisors(const), _divisors(lead)
+        budget.spend(math.isqrt(abs(Q[0])) + math.isqrt(abs(Q[-1])))
+        nums, dens = _divisors(Q[0]), _divisors(Q[-1])
         budget.spend(2 * len(nums) * len(dens))
-        candidates = sorted({Fraction(sign * num, den) for num in nums for den in dens for sign in (1, -1)})
-        for cand in candidates:
+        # each candidate once, in lowest terms
+        for num, den in ((sign * n, d) for d in dens for n in nums if math.gcd(n, d) == 1 for sign in (1, -1)):
             mult = 0
-            while q.degree >= 1 and not q(cand):
-                q = q.deflate(cand)
+            while len(Q) > 1 and (S := _divide_out(Q, num, den)) is not None:
+                Q = S
                 mult += 1
             if mult:
-                roots.append((cand, mult))
-    roots.sort(key=lambda rm: rm[0])
-    return roots, q
+                found.append((num, den, mult))
+    roots = sorted((Fraction(num, den), mult) for num, den, mult in found)
+    return roots, UnivariatePoly(tuple(Fraction(c, Q[-1]) for c in Q))
 
 
 def rational_eigen(M: RatMatrix, max_steps: int = DEFAULT_MAX_STEPS) -> EigenDecomposition:

@@ -1,4 +1,4 @@
-"""Hand-written lexer and recursive-descent parser for polynomial text.
+"""One-pattern lexer and recursive-descent parser for polynomial text.
 
 Grammar, tightest binding first:
 
@@ -19,21 +19,21 @@ Every error carries the offset of the offending character.
 from __future__ import annotations
 
 import math
-import string
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
 from .polyring import Polynomial, VarContext
 
-_SYMBOLS = "+-*/^()"
-#: the digits of an integer literal: ASCII only, so that ``int`` never sees
-#: another script's digits or a superscript
-_DIGITS = frozenset(string.digits)
-#: the characters of a name: ASCII only, as VarContext requires, so that a
+#: one token after optional whitespace (``\s`` is exactly ``str.isspace``): an
+#: integer literal, which a name may not follow at once, a name, a symbol, or
+#: any other character, which is an error. Digits and names are ASCII only, so
+#: that ``int`` never sees another script's digits or a superscript and a
 #: letter or digit of another script is an unexpected character where it stands
-_NAME_START = frozenset(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>[0-9]+)(?P<glued>[A-Za-z_])?|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<symbol>[-+*/^()])|(?P<other>\S))"
+)
 
 #: deepest parenthesis nesting accepted (each level costs four Python frames)
 MAX_NESTING = 50
@@ -61,33 +61,15 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] in _NAME_START:
-                raise ParseError("implicit multiplication is not allowed (insert '*')", i)
-            tokens.append(Token("int", text[start:i], start))
-            continue
-        if ch in _NAME_START:
-            start = i
-            while i < n and text[i] in _NAME_CHARS:
-                i += 1
-            tokens.append(Token("name", text[start:i], start))
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "glued":
+            raise ParseError("implicit multiplication is not allowed (insert '*')", pos)
+        if kind == "other":
+            raise ParseError(f"unexpected character {m[kind]!r}", pos)
+        tokens.append(Token(m[kind] if kind == "symbol" else kind, m[kind], pos))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 

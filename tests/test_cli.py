@@ -166,6 +166,15 @@ class TestInputErrors:
         assert run(["smooth", str(path)]) == 2
         assert "position" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_json_number_past_the_digit_limit(self, mode, tmp_path, capsys):
+        # once a crash (exit 4): json raised the int conversion's ValueError
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(QUADRIC_PROBLEM)[:-1] + ', "pad": 1' + "0" * 5000 + "}", encoding="utf-8")
+        assert run(["smooth", *mode, str(path)]) == cli.EXIT_INPUT
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr() == ("", f"error: invalid JSON in {path}: a number has more than {limit} digits\n")
+
     def test_bad_polynomial_has_position(self, problem, capsys):
         doc = dict(QUADRIC_PROBLEM, h="x0 + + x1")
         assert run(["smooth", problem(doc)]) == 2

@@ -238,6 +238,43 @@ class TestRationalEigen:
         with pytest.raises(ResourceLimitError):
             rational_eigen(M, max_steps=24)
 
+    def test_root_search_on_a_matrix_with_denominators_charges_the_same_steps(self):
+        # det(tI - M) = t^2 - 7/2 t + 3/2, scaled to 2t^2 - 7t + 3: isqrt(3) + isqrt(2) = 2 trial
+        # divisions, 2 * 2 * 2 = 8 candidates
+        M = RatMatrix([[Fraction(1, 2), 0], [1, 3]])
+        eigen = rational_eigen(M, max_steps=10)
+        assert [(p.value, p.multiplicity) for p in eigen.pairs] == [(Fraction(1, 2), 1), (3, 1)]
+        with pytest.raises(ResourceLimitError):
+            rational_eigen(M, max_steps=9)
+
+    def test_default_budget_on_large_denominators(self):
+        # I/1000: (1000t - 1)^5 has a constant term of -1 and a leading one of 10^15, whose
+        # 31,622,776 trial divisions exceed the default budget
+        with pytest.raises(ResourceLimitError):
+            rational_eigen(RatMatrix([[Fraction(int(i == j), 1000) for j in range(5)] for i in range(5)]))
+        # diag(1/10, 10^8, 1, 1, 1) is decided: (10t - 1)(t - 10^8)(t - 1)^3 has -10^8 and 10 at its ends
+        eigen = rational_eigen(diagonal([Fraction(1, 10), 10**8, 1, 1, 1]))
+        assert [(p.value, p.multiplicity) for p in eigen.pairs] == [(Fraction(1, 10), 1), (1, 3), (10**8, 1)]
+        assert eigen.residual.is_one()
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_factorisation_with_denominators_reconstructs_char_poly(self, seed):
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        dense = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+        # an upper-triangular matrix has its diagonal, fractions included, as rational eigenvalues
+        triangular = [[rand_fraction(rng) if j >= i else 0 for j in range(n)] for i in range(n)]
+        for rows in (dense, triangular):
+            M = RatMatrix(rows)
+            eigen = rational_eigen(M)
+            product = eigen.residual
+            for pair in eigen.pairs:
+                for _ in range(pair.multiplicity):
+                    product = poly_mul(product, UnivariatePoly.of([-pair.value, 1]))
+            assert product == char_poly(M)
+        values = [p.value for p in rational_eigen(RatMatrix(triangular)).pairs for _ in range(p.multiplicity)]
+        assert values == sorted(triangular[i][i] for i in range(n))
+
     def test_negative_budget_is_spent_only_by_a_root_search(self):
         # t^2 has only the root 0, which is split off before any search
         eigen = rational_eigen(RatMatrix([[0, 1], [0, 0]]), max_steps=-1)
@@ -315,19 +352,6 @@ class TestUnivariate:
         assert str(UnivariatePoly.of([1, 0, 1])) == "t^2 + 1"
         assert str(UnivariatePoly.of([])) == "0"
         assert str(UnivariatePoly.of([Fraction(3, 2)])) == "3/2"
-
-    @given(st.integers(0, 10**9), st.integers(0, 6))
-    def test_value_equals_the_sum_of_fraction_powers(self, seed, degree):
-        rng = random.Random(seed)
-        p = UnivariatePoly.of([rand_fraction(rng) for _ in range(degree + 1)])
-        for x in (Fraction(0), rand_fraction(rng), Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))):
-            assert p(x) == sum((c * x**k for k, c in enumerate(p.coeffs)), Fraction(0))
-
-    def test_deflate(self):
-        p = UnivariatePoly.of([-1, 0, 1])  # t^2 - 1
-        assert p.deflate(Fraction(1)) == UnivariatePoly.of([1, 1])
-        with pytest.raises(InputError):
-            p.deflate(Fraction(2))
 
 
 def test_matrix_string_round_trip():

@@ -1,12 +1,13 @@
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projvf import ParseError, Polynomial, VarContext, cli, parse_poly, parser
+from projvf import ParseError, Polynomial, VarContext, cli, parse_poly, parser, tokenize
 from projvf.parser import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_NESTING
 from projvf.verify import P4
 from support import P4C, SMALL, rand_poly
@@ -88,11 +89,15 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_poly("x0 ? x1", SMALL)
         assert err.value.position == 3
+        with pytest.raises(ParseError, match="^implicit multiplication is not allowed") as err:
+            parse_poly("2x0", SMALL)
+        assert err.value.position == 1
 
     @pytest.mark.parametrize(
         "text, position",
         [
             ("\u0663*x0", 0),  # ARABIC-INDIC DIGIT THREE once parsed as 3
+            ("\u0663", 0),
             ("x0^\u00b2", 3),  # SUPERSCRIPT TWO once read as an over-long literal
             ("2\u00b2", 1),
             ("x0 + 1\uff11", 6),  # FULLWIDTH DIGIT ONE
@@ -123,6 +128,19 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unexpected character {char!r} (at position {position})" in captured.err
+
+
+class TestLexer:
+    def test_every_space_character_separates_tokens(self):
+        spaces = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+        text = spaces.join(["x0", "+", "1"])
+        width = len(spaces)
+        assert [tuple(t) for t in tokenize(text)] == [
+            ("name", "x0", 0),
+            ("+", "+", 2 + width),
+            ("int", "1", 3 + 2 * width),
+            ("end", "", len(text)),
+        ]
 
 
 class TestLimits:
