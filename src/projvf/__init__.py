@@ -57,8 +57,6 @@ from .polyring import (
     homogeneous_degree,
     monomials_of_degree,
     order_key,
-    partial_derivative,
-    substitute,
 )
 
 __version__ = "0.1.0"
@@ -106,13 +104,11 @@ __all__ = [
     "nonexistence_check",
     "order_key",
     "parse_poly",
-    "partial_derivative",
     "radical_member",
     "rational_eigen",
     "rref",
     "stabilizer_algebra",
     "structured_derivation",
-    "substitute",
     "tokenize",
     "vanishes_on",
     "weight_zero_monomials",

@@ -7,6 +7,10 @@ coefficient identities that force the diagonal normal form, produces the
 degree-3 and degree-4 nonexistence certificates, and evaluates the small
 index/genus arithmetic for Fano threefolds of Picard rank one.
 
+The nonexistence certificate's vertex fields and the cone split's top
+coefficients read h and its gradient at a coordinate vertex off the
+coefficients of the vertex monomials (``polyring._vertex_monomials``).
+
 All verdicts carry machine-readable witnesses so the command line can print a
 reason, never a bare boolean.
 """
@@ -22,15 +26,7 @@ from .derivations import Derivation, euler_reduce, monomial_weight, weight_zero_
 from .errors import InputError, ToolError
 from .ideals import DEFAULT_MAX_STEPS, Ideal, _check_hypersurface, is_smooth_projective, vanishes_on
 from .linalg import RatMatrix, kernel_basis
-from .polyring import (
-    Monomial,
-    Polynomial,
-    VarContext,
-    coefficient_of,
-    monomials_of_degree,
-    partial_derivative,
-    substitute,
-)
+from .polyring import Monomial, Polynomial, VarContext, _vertex_monomials, coefficient_of, monomials_of_degree
 
 
 # -- stabilizer algebras ------------------------------------------------------
@@ -131,9 +127,11 @@ def cone_shape(h: Polynomial) -> ConeShape:
 
     Succeeds exactly when every monomial containing x3 also contains x4; the
     base collects the x3,x4-free terms and the cofactor is (h - base)/x4.
-    Reports the coefficient of x3^(d-1) in the cofactor and the coefficients
-    of x_i * x4^(d-1) in h (both must survive for a smooth hypersurface with
-    cone section and vertex outside the second hyperplane).
+    Reports h's coefficient of x3^(d-1)*x4, which is dh/dx4 at e_3 and the
+    coefficient of x3^(d-1) in the cofactor, and h's coefficients of the
+    vertex monomials at e_4: x_i*x4^(d-1) for i < 4 and x4^d, the raw value
+    h(e_4) with no factor d (both groups must survive for a smooth
+    hypersurface with cone section and vertex outside the second hyperplane).
     """
     d = _check_hypersurface(h)
     ctx = h.context
@@ -152,13 +150,8 @@ def cone_shape(h: Polynomial) -> ConeShape:
             base_terms[m] = c
     base = Polynomial(ctx, base_terms)
     cofactor = Polynomial(ctx, cof_terms)
-    x3_top = cofactor.coefficient(ctx.monomial({ctx.projective[3]: d - 1}))
-    x4_top = tuple(
-        h.coefficient(ctx.monomial({ctx.projective[i]: 1, ctx.projective[4]: d - 1}))
-        if i != 4
-        else h.coefficient(ctx.monomial({ctx.projective[4]: d}))
-        for i in range(5)
-    )
+    x3_top = h.coefficient(_vertex_monomials(ctx, i3, d)[i4])
+    x4_top = tuple(map(h.coefficient, _vertex_monomials(ctx, i4, d)))
     return ConeShape(base=base, cofactor=cofactor, x3_top=x3_top, x4_top=x4_top)
 
 
@@ -247,9 +240,12 @@ class NonexistenceCertificate:
     the diagonal derivation with weights (0,0,0,1,1-d), d in {3, 4}.
 
     ``allowed`` lists every degree-d monomial of weight zero; none of the
-    monomials x_i*x4^(d-1) (nor x4^d) appears among them, and the generic
-    combination of the allowed monomials, together with its whole gradient,
-    vanishes identically at the point (0:0:0:0:1)."""
+    vertex monomials x_i*x4^(d-1) (nor x4^d) appears among them. Their
+    coefficients are h and its gradient at the vertex (0:0:0:0:1), so the
+    generic combination of the allowed monomials, which has a nonzero
+    coefficient exactly at them, vanishes there with its whole gradient:
+    ``vertex_value_zero`` says x4^d is not allowed, and
+    ``vertex_gradient_zero`` that no vertex monomial is."""
 
     degree: int
     diagonal: tuple[Fraction, ...]
@@ -272,39 +268,22 @@ def nonexistence_check(d: int) -> NonexistenceCertificate:
         )
     if d not in (3, 4):
         raise InputError("nonexistence certificates are stated for degrees 3 and 4")
-    proj = ("x0", "x1", "x2", "x3", "x4")
-    plain = VarContext(proj)
+    plain = VarContext(("x0", "x1", "x2", "x3", "x4"))
     weights = (Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(1 - d))
     D = Derivation.diagonal(plain, weights)
     allowed = weight_zero_monomials(D, d)
     allowed_set = set(allowed)
-
-    forbidden: list[tuple[str, Fraction]] = []
-    clean = True
-    for i in range(5):
-        exps = {proj[i]: 1, proj[4]: d - 1} if i != 4 else {proj[4]: d}
-        m = plain.monomial(exps)
-        w = monomial_weight(D, m).constant_value()
-        forbidden.append((plain.monomial_str(m), w))
-        if w == 0 or m in allowed_set:
-            clean = False
-
-    params = tuple(f"q{k}" for k in range(len(allowed)))
-    ctx = VarContext(proj, params)
-    h_gen = Polynomial(ctx, {m + tuple(int(j == k) for j in range(len(params))): 1 for k, m in enumerate(allowed)})
-    vertex = {name: Fraction(0) for name in proj}
-    vertex[proj[4]] = Fraction(1)
-    value = substitute(h_gen, vertex)
-    gradient = [substitute(partial_derivative(h_gen, v), vertex) for v in proj]
+    vertex = _vertex_monomials(plain, 4, d)
+    forbidden = [(m, monomial_weight(D, m).constant_value()) for m in vertex]
 
     return NonexistenceCertificate(
         degree=d,
         diagonal=weights,
         allowed=tuple(plain.monomial_str(m) for m in allowed),
-        forbidden_weights=tuple(forbidden),
-        no_forbidden_allowed=clean,
-        vertex_value_zero=not value,
-        vertex_gradient_zero=all(not g for g in gradient),
+        forbidden_weights=tuple((plain.monomial_str(m), w) for m, w in forbidden),
+        no_forbidden_allowed=all(w != 0 and m not in allowed_set for m, w in forbidden),
+        vertex_value_zero=vertex[4] not in allowed_set,
+        vertex_gradient_zero=allowed_set.isdisjoint(vertex),
     )
 
 

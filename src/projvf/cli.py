@@ -85,6 +85,8 @@ def load_problem(path: str) -> ProblemFile:
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise InputError(f"invalid JSON in {path}: a number has more than {limit} digits") from exc
+    except RecursionError as exc:
+        raise InputError(f"invalid JSON in {path}: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InputError(f"problem file {path} must contain a JSON object")
 

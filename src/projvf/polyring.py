@@ -15,6 +15,10 @@ Polynomials are immutable values: no operation modifies its operands. The
 ring operators build each result once, through the trusted constructor: they
 accumulate exact coefficients into one dict, drop zero terms at the end and
 never re-check a term they built themselves.
+
+A form's value and gradient at a coordinate vertex are read off the
+coefficients of its vertex monomials (``_vertex_monomials``); the ring has
+no evaluation or differentiation of its own.
 """
 
 from __future__ import annotations
@@ -328,18 +332,6 @@ def _signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
 # -- operations --------------------------------------------------------------
 
 
-def partial_derivative(p: Polynomial, var: str) -> Polynomial:
-    """Formal partial derivative with respect to any declared variable."""
-    idx = p.context.index(var)
-    # distinct terms keep distinct monomials, so nothing cancels
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in p._terms.items():
-        e = m[idx]
-        if e:
-            terms[m[:idx] + (e - 1,) + m[idx + 1 :]] = c * e
-    return Polynomial._trusted(p.context, terms)
-
-
 def coefficient_of(p: Polynomial, m: Monomial) -> Polynomial:
     """Coefficient of the projective monomial ``m``, as a parameter polynomial.
 
@@ -376,28 +368,6 @@ def homogeneous_degree(p: Polynomial) -> Union[int, Literal["any"], None]:
     return None
 
 
-def substitute(p: Polynomial, assignment: Mapping[str, Union[Polynomial, Fraction, int]]) -> Polynomial:
-    """Substitute polynomials or constants for a subset of the variables."""
-    ctx = p.context
-    subs: dict[int, Polynomial] = {}
-    for name, value in assignment.items():
-        idx = ctx.index(name)
-        subs[idx] = value if isinstance(value, Polynomial) else ctx.constant(value)
-        if subs[idx].context != ctx:
-            raise InputError("substituted polynomial lives in a different context")
-    result = ctx.zero()
-    for m, c in p._terms.items():
-        residual = list(m)
-        factor = ctx.constant(c)
-        for idx, sub in subs.items():
-            e = residual[idx]
-            if e:
-                residual[idx] = 0
-                factor = factor * sub**e
-        result = result + factor.mul_term(tuple(residual), 1)
-    return result
-
-
 def monomials_of_degree(ctx: VarContext, degree: int) -> list[Monomial]:
     """All projective monomials of the given degree (parameter exponents 0),
     sorted descending in the order."""
@@ -416,3 +386,15 @@ def monomials_of_degree(ctx: VarContext, degree: int) -> list[Monomial]:
         out.append(tuple(exps) + pad)
     out.sort(key=order_key, reverse=True)
     return out
+
+
+def _vertex_monomials(ctx: VarContext, k: int, d: int) -> tuple[Monomial, ...]:
+    """The monomials x_j*x_k^(d-1) for each projective j != k, and x_k^d in
+    slot k (d >= 1).
+
+    They read a degree-d form h at the coordinate vertex e_k off its
+    coefficients: h(e_k) is the coefficient of x_k^d, and dh/dx_j(e_k) is the
+    coefficient of slot j, times d when j = k.
+    """
+    base = (0,) * k + (d - 1,) + (0,) * (ctx.nvars - k - 1)
+    return tuple(base[:j] + (base[j] + 1,) + base[j + 1 :] for j in range(ctx.nproj))

@@ -25,7 +25,6 @@ from projvf import (
     kernel_basis,
     monomials_of_degree,
     order_key,
-    partial_derivative,
     rref,
 )
 
@@ -205,6 +204,36 @@ def evaluate(p: Polynomial, point) -> Fraction:
                 v *= x**e
         total += v
     return total
+
+
+def partial_derivative(p: Polynomial, var: str) -> Polynomial:
+    """Formal partial derivative with respect to any declared variable, term
+    by term: c*x^m becomes c*m_i*x^(m - e_i). The terms keep p's own order,
+    as ``ideals._gradient_rows`` does, so that packed rows compare equal."""
+    idx = p.context.index(var)
+    terms = {}
+    for m, c in p._terms.items():
+        if m[idx]:
+            terms[m[:idx] + (m[idx] - 1,) + m[idx + 1 :]] = c * m[idx]
+    return Polynomial(p.context, terms)
+
+
+def substitute(p: Polynomial, assignment) -> Polynomial:
+    """p with polynomials or constants put in for a subset of the variables,
+    a mapping from names to values: each term c*x^m becomes c times the
+    powers of the assigned values times the unassigned rest of x^m."""
+    ctx = p.context
+    subs = {ctx.index(name): v if isinstance(v, Polynomial) else ctx.constant(v) for name, v in assignment.items()}
+    result = ctx.zero()
+    for m, c in p.items():
+        residual = list(m)
+        factor = ctx.constant(c)
+        for idx, value in subs.items():
+            if residual[idx]:
+                factor = factor * value ** residual[idx]
+                residual[idx] = 0
+        result = result + factor.mul_term(tuple(residual), 1)
+    return result
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -27,7 +27,6 @@ from projvf import (
     ideal_member,
     nonexistence_check,
     parse_poly,
-    partial_derivative,
     rational_eigen,
     zero_locus_ideal,
 )
@@ -41,6 +40,7 @@ from support import (
     mat_add,
     mat_mul,
     mat_scale,
+    partial_derivative,
     rand_homogeneous,
     rand_matrix,
     rand_poly,

@@ -21,7 +21,6 @@ from projvf import (
     parse_poly,
     stabilizer_algebra,
     structured_derivation,
-    substitute,
     weight_zero_monomials,
     INDEX_GENUS_TABLE,
     Polynomial,
@@ -35,10 +34,12 @@ from support import (
     euler,
     identity,
     mat_mul,
+    partial_derivative,
     rand_fraction,
     rand_homogeneous,
     spans,
     stabilizer_reference,
+    substitute,
 )
 
 
@@ -172,6 +173,19 @@ class TestConeShape:
             cone_shape(parse_poly("x0^2 + x3^2", P4))
         assert err.value.monomial == "x3^2"
 
+    @pytest.mark.parametrize(
+        "text, x3_top, x4_top",
+        [
+            ("x0^3 + x1^2*x2 + 2*x3^2*x4 + 5*x0*x4^2 - 3*x3*x4^2 + 7*x4^3", 2, (5, 0, 0, -3, 7)),
+            ("x1^4 + x0*x2^3 - 4*x3^3*x4 + x1*x4^3 + 2*x2*x4^3 + 6*x3*x4^3 - 9*x4^4", -4, (0, 1, 2, 6, -9)),
+        ],
+        ids=["cubic", "quartic"],
+    )
+    def test_top_coefficients_with_a_vertex_power(self, text, x3_top, x4_top):
+        # the x4^d slot is h's raw coefficient, not the derivative d times it
+        shape = cone_shape(parse_poly(text, P4))
+        assert shape.x3_top == x3_top and shape.x4_top == x4_top
+
     def test_reconstruction(self):
         h = parse_poly("x0^2*x4^2 + x1^4 + x3^3*x4 + x4^4", P4)
         shape = cone_shape(h)
@@ -212,6 +226,20 @@ class TestNonexistence:
         assert tuple(w for _, w in cert.forbidden_weights) == weights
         assert cert.vertex_value_zero and cert.vertex_gradient_zero
         assert cert.no_forbidden_allowed
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_vertex_fields_match_the_evaluated_generic_polynomial(self, d):
+        # the route taken before the fields were read off coefficients: one
+        # parameter per allowed monomial, then value and gradient at (0:0:0:0:1)
+        cert = nonexistence_check(d)
+        params = tuple(f"q{k}" for k in range(len(cert.allowed)))
+        ctx = VarContext(P4.projective, params)
+        h_gen = sum((ctx.variable(q) * parse_poly(m, ctx) for q, m in zip(params, cert.allowed)), ctx.zero())
+        vertex = {name: int(name == "x4") for name in P4.projective}
+        value = substitute(h_gen, vertex)
+        gradient = [substitute(partial_derivative(h_gen, v), vertex) for v in P4.projective]
+        assert cert.vertex_value_zero == (not value)
+        assert cert.vertex_gradient_zero == all(not g for g in gradient)
 
     def test_degree_two_refused(self):
         with pytest.raises(InputError, match="x3\\*x4"):

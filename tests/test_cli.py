@@ -175,6 +175,16 @@ class TestInputErrors:
         limit = sys.get_int_max_str_digits()
         assert capsys.readouterr() == ("", f"error: invalid JSON in {path}: a number has more than {limit} digits\n")
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_json_nested_past_the_recursion_limit(self, mode, tmp_path, capsys):
+        # once a crash (exit 4): json raised RecursionError on the nesting
+        path = tmp_path / "nested.json"
+        depth = 100_000
+        pad = "[" * depth + "]" * depth
+        path.write_text(json.dumps(QUADRIC_PROBLEM)[:-1] + ', "pad": ' + pad + "}", encoding="utf-8")
+        assert run(["smooth", *mode, str(path)]) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: invalid JSON in {path}: arrays or objects nested too deeply\n")
+
     def test_bad_polynomial_has_position(self, problem, capsys):
         doc = dict(QUADRIC_PROBLEM, h="x0 + + x1")
         assert run(["smooth", problem(doc)]) == 2

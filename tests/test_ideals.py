@@ -21,7 +21,6 @@ from projvf import (
     normal_form,
     order_key,
     parse_poly,
-    partial_derivative,
     radical_member,
     rational_eigen,
     rref,
@@ -39,6 +38,7 @@ from support import (
     identity,
     macaulay_smooth,
     mat_mul,
+    partial_derivative,
     rand_homogeneous,
     rand_poly,
     s_polynomial,

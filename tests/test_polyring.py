@@ -15,20 +15,21 @@ from projvf import (
     monomials_of_degree,
     order_key,
     parse_poly,
-    partial_derivative,
-    substitute,
 )
-from projvf.verify import P4, QUADRIC
+from projvf.polyring import _vertex_monomials
+from projvf.verify import P3, P4, QUADRIC
 from support import (
     P4C,
     SMALL,
     all_monomials,
     evaluate,
     mul_reference,
+    partial_derivative,
     pow_reference,
     rand_fraction,
     rand_homogeneous,
     rand_poly,
+    substitute,
 )
 
 
@@ -250,6 +251,43 @@ class TestSubstitute:
         x0, x1 = SMALL.variable("x0"), SMALL.variable("x1")
         p = x0**2
         assert substitute(p, {"x0": x0 + x1}) == x0**2 + 2 * x0 * x1 + x1**2
+
+
+class TestVertexMonomials:
+    @pytest.mark.parametrize("ctx", [P3, P4], ids=["P3", "P4"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_coefficients_are_value_and_gradient_at_the_vertex(self, ctx, d):
+        rng = random.Random(10 * ctx.nproj + d)
+        every_vertex_monomial = [m for k in range(ctx.nproj) for m in _vertex_monomials(ctx, k, d)]
+        read = 0
+        for _ in range(12):
+            # random terms, plus a few vertex monomials so that the readings are not all zero
+            planted = {m: rand_fraction(rng) for m in rng.sample(every_vertex_monomial, 3)}
+            h = rand_homogeneous(rng, ctx, d, max_terms=6) + Polynomial(ctx, planted)
+            for k in range(ctx.nproj):
+                e_k = {name: int(i == k) for i, name in enumerate(ctx.projective)}
+                coefficients = [h.coefficient(m) for m in _vertex_monomials(ctx, k, d)]
+                assert coefficients[k] == evaluate(h, e_k)
+                gradient = [evaluate(partial_derivative(h, v), e_k) for v in ctx.projective]
+                assert gradient == [c * d if j == k else c for j, c in enumerate(coefficients)]
+                read += any(coefficients)
+        assert read
+
+    def test_monomials_span_the_whole_context(self):
+        assert _vertex_monomials(P4C, 4, 3) == tuple(
+            P4C.monomial({v: 1, "x4": 2}) if v != "x4" else P4C.monomial({"x4": 3}) for v in P4C.projective
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_planted_monomial_turns_the_gradient_reading_nonzero(self, d):
+        vertex = _vertex_monomials(P4, 4, d)
+        rng = random.Random(d)
+        h = Polynomial(P4, {m: rand_fraction(rng) for m in monomials_of_degree(P4, d) if m not in vertex})
+        e_4 = dict.fromkeys(P4.projective, 0) | {"x4": 1}
+        assert not any(map(h.coefficient, vertex))
+        assert not any(evaluate(partial_derivative(h, v), e_4) for v in P4.projective)
+        planted = h + P4.variable("x0") * P4.variable("x4") ** (d - 1)
+        assert [planted.coefficient(m) for m in vertex] == [1, 0, 0, 0, 0]
 
 
 class TestOrderAndPrinting:

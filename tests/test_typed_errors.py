@@ -20,7 +20,6 @@ from projvf import (
     monomials_of_degree,
     parse_poly,
     radical_member,
-    substitute,
     vanishes_on,
     weight_zero_monomials,
 )
@@ -93,10 +92,6 @@ CASES = {
     "negative power": (lambda: QUADRIC**-1, "polynomial powers take nonnegative integer exponents"),
     "term product with a short monomial": (lambda: QUADRIC.mul_term((1, 0), 1), WRONG_WIDTH),
     "coefficient of a short monomial": (lambda: coefficient_of(QUADRIC, (2, 0)), WRONG_WIDTH),
-    "substituting a foreign polynomial": (
-        lambda: substitute(QUADRIC, {"x0": P3.variable("x0")}),
-        "substituted polynomial lives in a different context",
-    ),
     "monomials of negative degree": (lambda: monomials_of_degree(P4, -1), "degree must be nonnegative"),
 }
 
