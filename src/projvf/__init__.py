@@ -24,7 +24,7 @@ from .analysis import (
     stabilizer_algebra,
     structured_derivation,
 )
-from .derivations import Derivation, euler_reduce, monomial_weight, weight_zero_monomials
+from .derivations import Derivation, euler_reduce
 from .errors import InputError, ParseError, ResourceLimitError, ToolError
 from .ideals import (
     DEFAULT_MAX_STEPS,
@@ -98,7 +98,6 @@ __all__ = [
     "ideal_member",
     "is_smooth_projective",
     "kernel_basis",
-    "monomial_weight",
     "monomials_of_degree",
     "normal_form",
     "nonexistence_check",
@@ -111,6 +110,5 @@ __all__ = [
     "structured_derivation",
     "tokenize",
     "vanishes_on",
-    "weight_zero_monomials",
     "zero_locus_ideal",
 ]

@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
-from .derivations import Derivation, euler_reduce, monomial_weight, weight_zero_monomials
+from .derivations import Derivation, euler_reduce
 from .errors import InputError, ToolError
 from .ideals import DEFAULT_MAX_STEPS, Ideal, _check_hypersurface, is_smooth_projective, vanishes_on
 from .linalg import RatMatrix, kernel_basis
@@ -81,12 +82,9 @@ def structured_derivation(ctx: VarContext, star: Sequence, a) -> Derivation:
     if len(star) != 4:
         raise InputError("star takes exactly four entries")
     zero = ctx.zero()
-    rows = [[zero] * 5 for _ in range(5)]
-    rows[3][3] = ctx.one()
-    for j, s in enumerate(star):
-        rows[4][j] = s if isinstance(s, Polynomial) else ctx.constant(s)
-    rows[4][4] = a if isinstance(a, Polynomial) else ctx.constant(a)
-    return Derivation(ctx, tuple(tuple(r) for r in rows))
+    rows = [[zero] * 5 for _ in range(4)] + [[*star, a]]
+    rows[3][3] = 1
+    return Derivation.from_rows(ctx, rows)
 
 
 # -- cone-shaped equations -----------------------------------------------------
@@ -239,13 +237,15 @@ class NonexistenceCertificate:
     """Exact evidence that no smooth degree-d hypersurface is invariant under
     the diagonal derivation with weights (0,0,0,1,1-d), d in {3, 4}.
 
-    ``allowed`` lists every degree-d monomial of weight zero; none of the
-    vertex monomials x_i*x4^(d-1) (nor x4^d) appears among them. Their
-    coefficients are h and its gradient at the vertex (0:0:0:0:1), so the
-    generic combination of the allowed monomials, which has a nonzero
-    coefficient exactly at them, vanishes there with its whole gradient:
-    ``vertex_value_zero`` says x4^d is not allowed, and
-    ``vertex_gradient_zero`` that no vertex monomial is."""
+    The weight of a monomial is the dot product of ``diagonal`` with its
+    exponents, read off that tuple with no derivation built. ``allowed``
+    lists every degree-d monomial of weight zero; ``forbidden_weights`` gives
+    the weights of the vertex monomials x_i*x4^(d-1) and x4^d, all nonzero,
+    so none of them is allowed. Their coefficients are h and its gradient at
+    the vertex (0:0:0:0:1), so the generic combination of the allowed
+    monomials, which has a nonzero coefficient exactly at them, vanishes
+    there with its whole gradient: ``vertex_value_zero`` says x4^d is not
+    allowed, and ``vertex_gradient_zero`` that no vertex monomial is."""
 
     degree: int
     diagonal: tuple[Fraction, ...]
@@ -270,11 +270,11 @@ def nonexistence_check(d: int) -> NonexistenceCertificate:
         raise InputError("nonexistence certificates are stated for degrees 3 and 4")
     plain = VarContext(("x0", "x1", "x2", "x3", "x4"))
     weights = (Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(1 - d))
-    D = Derivation.diagonal(plain, weights)
-    allowed = weight_zero_monomials(D, d)
+    weight = {m: sum(map(mul, weights, m)) for m in monomials_of_degree(plain, d)}
+    allowed = [m for m, w in weight.items() if not w]
     allowed_set = set(allowed)
     vertex = _vertex_monomials(plain, 4, d)
-    forbidden = [(m, monomial_weight(D, m).constant_value()) for m in vertex]
+    forbidden = [(m, weight[m]) for m in vertex]
 
     return NonexistenceCertificate(
         degree=d,

@@ -76,7 +76,7 @@ def load_problem(path: str) -> ProblemFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read problem file {path}: {exc}") from exc
     try:
         doc = json.loads(raw)

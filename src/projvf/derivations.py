@@ -6,7 +6,8 @@ variables. Entries may mention parameter variables but never projective ones;
 parameters are never differentiated. The Euler derivation (identity matrix)
 multiplies a homogeneous polynomial by its degree and induces the zero field
 on projective space, so derivations are compared modulo scalar multiples of
-the identity (:func:`euler_reduce`).
+the identity (:func:`euler_reduce`). A diagonal derivation multiplies x^m by
+the dot product of its diagonal with m, the weight of m.
 """
 
 from __future__ import annotations
@@ -17,22 +18,11 @@ from operator import add
 from typing import Sequence
 
 from .errors import InputError
-from .polyring import (
-    Monomial,
-    Polynomial,
-    VarContext,
-    monomials_of_degree,
-)
+from .polyring import Monomial, Polynomial, VarContext
 
 #: a matrix entry; kept a string, because an evaluated typing.Union is cached by
 #: the typing module and would keep this module alive after it is unloaded
 Entry = "Polynomial | Fraction | int"
-
-
-def _coerce_entry(ctx: VarContext, value: Entry) -> Polynomial:
-    """A constant as a polynomial; a polynomial as is, its context checked by
-    ``Derivation.__post_init__``."""
-    return value if isinstance(value, Polynomial) else ctx.constant(value)
 
 
 @dataclass(frozen=True)
@@ -56,7 +46,9 @@ class Derivation:
 
     @classmethod
     def from_rows(cls, ctx: VarContext, rows: Sequence[Sequence[Entry]]) -> "Derivation":
-        return cls(ctx, tuple(tuple(_coerce_entry(ctx, e) for e in row) for row in rows))
+        """A rational entry becomes a constant; a polynomial is kept as is, its
+        context checked by ``__post_init__``."""
+        return cls(ctx, tuple(tuple(e if isinstance(e, Polynomial) else ctx.constant(e) for e in row) for row in rows))
 
     @classmethod
     def diagonal(cls, ctx: VarContext, weights: Sequence[Entry]) -> "Derivation":
@@ -64,17 +56,11 @@ class Derivation:
         if len(weights) != n:
             raise InputError("diagonal needs one weight per projective variable")
         zero = ctx.zero()
-        rows = [[zero] * n for _ in range(n)]
-        for i, w in enumerate(weights):
-            rows[i][i] = _coerce_entry(ctx, w)
-        return cls(ctx, tuple(tuple(row) for row in rows))
+        return cls.from_rows(ctx, [[w if i == j else zero for j in range(n)] for i, w in enumerate(weights)])
 
     @property
     def size(self) -> int:
         return self.context.nproj
-
-    def is_diagonal(self) -> bool:
-        return all(not self.entries[i][j] for i in range(self.size) for j in range(self.size) if i != j)
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
@@ -145,38 +131,3 @@ def euler_reduce(D: Derivation) -> Derivation:
     for i in range(D.size):
         rows[i][i] = rows[i][i] - ctx.constant(shift)
     return Derivation(ctx, tuple(tuple(row) for row in rows))
-
-
-def monomial_weight(D: Derivation, m: Monomial) -> Polynomial:
-    """Scaling weight of a monomial under a diagonal derivation.
-
-    For diagonal D with diagonal entries w_i, applying D to a monomial with
-    projective exponents e_i multiplies it by  sum_i e_i * w_i; that scalar
-    (a parameter polynomial) is returned.
-    """
-    if not D.is_diagonal():
-        raise InputError("monomial weights are defined for diagonal derivations only")
-    ctx = D.context
-    if len(m) != ctx.nvars:
-        raise InputError("monomial does not fit the variable context")
-    w = ctx.zero()
-    for i in range(D.size):
-        if m[i]:
-            w = w + D.entries[i][i] * m[i]
-    return w
-
-
-def weight_zero_monomials(D: Derivation, degree: int) -> list[Monomial]:
-    """All degree-d projective monomials of weight zero, sorted descending.
-
-    Exactly the monomials allowed in an invariant polynomial h with D h = 0.
-    Requires a diagonal derivation with rational diagonal.
-    """
-    if not D.is_diagonal():
-        raise InputError("weight analysis is defined for diagonal derivations only")
-    diag = [D.entries[i][i] for i in range(D.size)]
-    if any(not w.is_constant() for w in diag):
-        raise InputError("weight-zero enumeration needs a rational diagonal")
-    weights = [w.constant_value() for w in diag]
-    monomials = monomials_of_degree(D.context, degree)
-    return [m for m in monomials if sum(w * e for w, e in zip(weights, m)) == 0]

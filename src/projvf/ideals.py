@@ -416,17 +416,16 @@ def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) 
     return _groebner(pk, [_row(_primitive(t)) for t in terms], _Budget(max_steps), lambda lead: not any(lead))
 
 
-def _gradient_rows(h: Polynomial) -> tuple[_Packing, list[tuple]]:
-    """The rows of the nonzero partials dh/dx_i, in the order of the
-    projective variables, and their packing, which has room for twice the
-    partials' degree (and for h).
+def _gradient_rows(h: Polynomial, d: int) -> tuple[_Packing, list[tuple]]:
+    """The rows of the nonzero partials dh/dx_i of h, homogeneous of degree
+    d, in the order of the projective variables, and their packing, which has
+    room for twice the partials' degree (and for h).
 
     h is packed and made primitive once; each partial is taken on the packed
     monomials: a term c x^m with e_i = room - field_i(m) > 0 becomes c e_i at
     m + 2^(i bits) - 2^(nvars bits), which raises field i by one and lowers
     the degree field by one.
     """
-    d = _degree(h)
     pk = _Packing(h.context.nvars, max(d, 2 * d - 2))
     terms = _primitive(pk.terms(h))
     field = (1 << pk.bits) - 1
@@ -460,16 +459,16 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
     completed basis generate LT(J), so when the pair queue empties with
     some x_i still uncovered, no power of it lies in LT(J) and h is singular.
     """
-    _check_hypersurface(h)
+    d = _check_hypersurface(h)
     uncovered = set(range(h.context.nproj))
 
     def covers_all(lead: Monomial) -> bool:
         # lead divides a power of x_i exactly when its degree is its x_i exponent
-        d = sum(lead)
-        uncovered.difference_update([i for i in uncovered if lead[i] == d])
+        e = sum(lead)
+        uncovered.difference_update([i for i in uncovered if lead[i] == e])
         return not uncovered
 
-    return _groebner(*_gradient_rows(h), _Budget(max_steps), covers_all)
+    return _groebner(*_gradient_rows(h, d), _Budget(max_steps), covers_all)
 
 
 def zero_locus_ideal(D: Derivation) -> Ideal:
@@ -500,7 +499,8 @@ def vanishes_on(
     Set-theoretic containment V(I) inside Z(D) by default (radical
     membership of every minor); ``scheme_theoretic=True`` demands plain ideal
     membership instead. A minor that reduces to 0 modulo GB(I) lies in I,
-    and so in its radical, without an extension basis.
+    and so in its radical, without an extension basis. ``max_steps`` bounds
+    each Groebner computation and normal form on its own, not their sum.
     """
     if D.context != I.context:
         raise InputError("derivation and ideal belong to different variable contexts")

@@ -17,11 +17,11 @@ from projvf import (
     degree_case_table,
     fano_genus,
     is_smooth_projective,
+    monomials_of_degree,
     nonexistence_check,
     parse_poly,
     stabilizer_algebra,
     structured_derivation,
-    weight_zero_monomials,
     INDEX_GENUS_TABLE,
     Polynomial,
     UnivariatePoly,
@@ -144,6 +144,14 @@ class TestStructuredDerivation:
         for i in range(3):
             assert all(not D.entries[i][j] for j in range(5))
 
+    def test_symbolic_entries_equal_the_hand_built_grid(self):
+        a = P4C.variable("a")
+        stars = [P4C.variable("c"), 0, Fraction(-1, 3), a - 2]
+        last = (stars[0], P4C.zero(), P4C.constant(Fraction(-1, 3)), stars[3], a)
+        zero = (P4C.zero(),) * 5
+        grid = (zero, zero, zero, (*zero[:3], P4C.one(), P4C.zero()), last)
+        assert structured_derivation(P4C, stars, a).entries == grid
+
     def test_rejects_wrong_arity(self):
         with pytest.raises(InputError):
             structured_derivation(P4, (1, 2, 3), 0)
@@ -253,10 +261,21 @@ class TestNonexistence:
         assert len(nonexistence_check(3).allowed) == 11  # ten cubics in x0..x2 plus x3^2*x4
         assert len(nonexistence_check(4).allowed) == 16
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_weights_match_the_diagonal_field(self, d):
+        # the route the certificate does not take: the diagonal field applied
+        # to each monomial, which it multiplies by the monomial's weight
+        cert = nonexistence_check(d)
+        D = Derivation.diagonal(P4, cert.diagonal)
+        monomials = [P4.monomial_str(m) for m in monomials_of_degree(P4, d)]
+        assert cert.allowed == tuple(m for m in monomials if not D(parse_poly(m, P4)))
+        for m, w in cert.forbidden_weights:
+            assert D(parse_poly(m, P4)) == w * parse_poly(m, P4)
+
     def test_invariant_hypersurfaces_are_singular_samples(self):
-        # consistency of the symbolic certificate with the smoothness decision
+        # consistency of the field's invariants with the smoothness decision
         D = Derivation.diagonal(P4, (0, 0, 0, 1, -2))
-        allowed = weight_zero_monomials(D, 3)
+        allowed = [m for m in monomials_of_degree(P4, 3) if not D(Polynomial(P4, {m: 1}))]
         rng = random.Random(1234)
         checked = 0
         while checked < 20:
@@ -264,7 +283,7 @@ class TestNonexistence:
             h = Polynomial(P4, {m: c for m, c in terms.items() if c})
             if not h:
                 continue
-            assert not is_smooth_projective(h)
+            assert not D(h) and not is_smooth_projective(h)
             checked += 1
 
 

@@ -185,6 +185,18 @@ class TestInputErrors:
         assert run(["smooth", *mode, str(path)]) == cli.EXIT_INPUT
         assert capsys.readouterr() == ("", f"error: invalid JSON in {path}: arrays or objects nested too deeply\n")
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_file_that_is_not_utf8(self, mode, tmp_path, capsys):
+        # once a crash (exit 4): reading the file raised UnicodeDecodeError
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff\xfe{"vars": ["x0", "x1"]}')
+        assert run(["smooth", *mode, str(path)]) == cli.EXIT_INPUT
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot read problem file {path}: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n",
+        )
+
     def test_bad_polynomial_has_position(self, problem, capsys):
         doc = dict(QUADRIC_PROBLEM, h="x0 + + x1")
         assert run(["smooth", problem(doc)]) == 2

@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import subprocess
@@ -15,10 +14,7 @@ from projvf import (
     VarContext,
     euler_reduce,
     homogeneous_degree,
-    monomial_weight,
-    monomials_of_degree,
     parse_poly,
-    weight_zero_monomials,
 )
 from projvf.verify import P4, QUADRIC, QUADRIC_FIELD as FIELD
 from support import P4C, SMALL, apply_reference, euler, rand_fraction, rand_homogeneous, rand_poly
@@ -52,6 +48,12 @@ class TestConstruction:
     def test_rejects_wrong_size(self):
         with pytest.raises(InputError):
             Derivation.from_rows(P4, [[0] * 4 for _ in range(4)])
+
+    def test_diagonal_equals_the_hand_built_grid(self):
+        a = P4C.variable("a")
+        diagonal = [a, P4C.zero(), P4C.constant(Fraction(1, 2)), a + 1, P4C.constant(-3)]
+        grid = tuple(tuple(diagonal[i] if i == j else P4C.zero() for j in range(5)) for i in range(5))
+        assert Derivation.diagonal(P4C, [a, 0, Fraction(1, 2), a + 1, -3]).entries == grid
 
     def test_parameter_entries_are_fine(self):
         D = Derivation.diagonal(P4C, [P4C.variable("a"), 0, 0, 0, 0])
@@ -165,69 +167,6 @@ class TestEulerReduce:
         f = rand_homogeneous(rng, ctx, 2)
         g = rand_homogeneous(rng, ctx, 2)
         assert D(f) * g - f * D(g) == E(f) * g - f * E(g)
-
-
-class TestWeights:
-    def test_cubic_case_weights(self):
-        D = Derivation.diagonal(P4, (0, 0, 0, 1, -2))
-        assert monomial_weight(D, P4.monomial({"x3": 2, "x4": 1})) == P4.zero()
-        assert monomial_weight(D, P4.monomial({"x3": 1, "x4": 2})) == P4.constant(-3)
-
-    def test_constant_monomial(self):
-        D = Derivation.diagonal(P4, (5, -1, 7, 1, -2))
-        assert monomial_weight(D, P4.unit_monomial()) == P4.zero()
-
-    def test_requires_diagonal(self):
-        rows = [[0] * 5 for _ in range(5)]
-        rows[0][1] = 1
-        D = Derivation.from_rows(P4, rows)
-        with pytest.raises(InputError):
-            monomial_weight(D, P4.unit_monomial())
-
-    def test_symbolic_weight(self):
-        a = P4C.variable("a")
-        D = Derivation.diagonal(P4C, [0, 0, 0, 1, a])
-        w = monomial_weight(D, P4C.monomial({"x3": 1, "x4": 2}))
-        assert w == 1 + 2 * a
-
-    @given(st.integers(0, 10**9), st.integers(1, 3))
-    @settings(max_examples=60)
-    def test_diagonal_scales_monomials(self, seed, degree):
-        rng = random.Random(seed)
-        D = Derivation.diagonal(P4, [rand_fraction(rng, 3) for _ in range(5)])
-        m = rng.choice(monomials_of_degree(P4, degree))
-        mono = Polynomial(P4, {m: Fraction(1)})
-        assert D(mono) == monomial_weight(D, m) * mono
-
-
-class TestWeightZeroMonomials:
-    def test_quadric_case_enumeration(self):
-        got = weight_zero_monomials(FIELD, 2)
-        # independent oracle: enumerate exponent tuples directly
-        expected = set()
-        for exps in itertools.product(range(3), repeat=5):
-            if sum(exps) == 2 and exps[3] - exps[4] == 0:
-                expected.add(exps)
-        assert set(got) == expected
-        named = {P4.monomial_str(m) for m in got}
-        assert named == {"x0^2", "x0*x1", "x0*x2", "x1^2", "x1*x2", "x2^2", "x3*x4"}
-
-    def test_cubic_case_exclusions(self):
-        D = Derivation.diagonal(P4, (0, 0, 0, 1, -2))
-        got = weight_zero_monomials(D, 3)
-        assert P4.monomial({"x3": 2, "x4": 1}) in got
-        for i, name in enumerate(P4.projective):
-            assert P4.monomial({name: 1, "x4": 2}) not in got
-
-    def test_zero_derivation_allows_everything(self):
-        D = Derivation.diagonal(P4, (0, 0, 0, 0, 0))
-        got = weight_zero_monomials(D, 1)
-        assert {P4.monomial_str(m) for m in got} == {"x0", "x1", "x2", "x3", "x4"}
-
-    def test_requires_rational_diagonal(self):
-        D = Derivation.diagonal(P4C, [P4C.variable("a"), 0, 0, 0, 0])
-        with pytest.raises(InputError):
-            weight_zero_monomials(D, 2)
 
 
 RELOAD_SCRIPT = """

@@ -632,7 +632,7 @@ class TestPackedGradient:
     @given(homogeneous_inputs())
     @settings(max_examples=200, deadline=None)
     def test_rows_equal_the_reference_partials(self, h):
-        pk, rows = ideals._gradient_rows(h)
+        pk, rows = ideals._gradient_rows(h, homogeneous_degree(h))
         reference = [ideals._row(ideals._primitive(pk.terms(p))) for p in gradient(h) if p]
         assert rows == reference
 

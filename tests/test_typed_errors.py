@@ -16,19 +16,16 @@ from projvf import (
     check_vanishing_on_curve,
     coefficient_of,
     cone_shape,
-    monomial_weight,
     monomials_of_degree,
     parse_poly,
     radical_member,
     vanishes_on,
-    weight_zero_monomials,
 )
 from projvf.verify import LINE_FIELD, P3, P4, QUADRIC, QUADRIC_CURVE, QUADRIC_FIELD
-from support import P4C, SMALL
+from support import P4C
 
 P3_CURVE = Ideal.spanned_by(P3, (P3.variable("x3"),))
 SYMBOLIC_FIELD = Derivation.diagonal(P4C, (P4C.variable("a"), 0, 0, 0, 0))
-NILPOTENT = Derivation.from_rows(SMALL, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
 WRONG_WIDTH = "monomial does not fit the variable context"
 
 CASES = {
@@ -63,14 +60,6 @@ CASES = {
     "diagonal with too few weights": (
         lambda: Derivation.diagonal(P4, (1, 2)),
         "diagonal needs one weight per projective variable",
-    ),
-    "monomial weight of a short monomial": (
-        lambda: monomial_weight(QUADRIC_FIELD, (1, 0)),
-        WRONG_WIDTH,
-    ),
-    "weight-zero monomials of a non-diagonal field": (
-        lambda: weight_zero_monomials(NILPOTENT, 2),
-        "weight analysis is defined for diagonal derivations only",
     ),
     "radical membership across contexts": (
         lambda: radical_member(P3.variable("x0"), QUADRIC_CURVE),
