@@ -24,7 +24,7 @@ from .analysis import (
     stabilizer_algebra,
     structured_derivation,
 )
-from .derivations import Derivation, euler_reduce
+from .derivations import Derivation
 from .errors import InputError, ParseError, ResourceLimitError, ToolError
 from .ideals import (
     DEFAULT_MAX_STEPS,
@@ -92,7 +92,6 @@ __all__ = [
     "coefficient_of",
     "cone_shape",
     "degree_case_table",
-    "euler_reduce",
     "fano_genus",
     "homogeneous_degree",
     "ideal_member",

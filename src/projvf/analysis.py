@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .derivations import Derivation, euler_reduce
+from .derivations import Derivation
 from .errors import InputError, ToolError
 from .ideals import DEFAULT_MAX_STEPS, Ideal, _check_hypersurface, is_smooth_projective, vanishes_on
 from .linalg import RatMatrix, kernel_basis
@@ -214,9 +214,9 @@ def coefficient_identity(d: int) -> CoefficientIdentityReport:
     top_extracted = coefficient_of(D(h_sym), lift(top_exp))
     top_expected = c * (d - 1) + c * a
 
-    bottom_exp = lift(plain.monomial({"x3": 1, "x4": d - 1}))
+    bottom = plain.monomial({"x3": 1, "x4": d - 1})
     D_diag = Derivation.diagonal(ctx, (0, 0, 0, 1, 1 - d))
-    bottom_extracted = coefficient_of(D_diag(c.mul_term(bottom_exp, 1)), bottom_exp)
+    bottom_extracted = coefficient_of(D_diag(Polynomial(ctx, {lift(bottom, "c"): 1})), lift(bottom))
     bottom_expected = c * (1 - (d - 1) ** 2)
 
     return CoefficientIdentityReport(
@@ -225,7 +225,7 @@ def coefficient_identity(d: int) -> CoefficientIdentityReport:
         top_expected=top_expected,
         bottom_extracted=bottom_extracted,
         bottom_expected=bottom_expected,
-        degenerate_coincidence=(top_exp == plain.monomial({"x3": 1, "x4": d - 1})),
+        degenerate_coincidence=(top_exp == bottom),
     )
 
 
@@ -320,6 +320,9 @@ def check_vanishing_on_curve(
         raise InputError("hypersurface, derivation and ideal must share one variable context")
     if not D.is_parameter_free():
         raise InputError("the verdict needs a derivation with rational entries")
+    A = D.constant_entries()
+    # a scalar matrix, zero included, is a multiple of the Euler field
+    euler_witness = all(a == (A[0][0] if i == j else 0) for i, row in enumerate(A) for j, a in enumerate(row))
 
     failures: list[str] = []
     Dh = D(h)
@@ -352,7 +355,7 @@ def check_vanishing_on_curve(
         smooth=smooth,
         vanishes_on_curve=vanishes,
         scaling=scaling,
-        euler_witness=euler_reduce(D).is_zero(),
+        euler_witness=euler_witness,
         failures=tuple(failures),
     )
 

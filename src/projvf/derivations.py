@@ -5,9 +5,8 @@ A linear vector field on projective space is encoded by the square matrix
 variables. Entries may mention parameter variables but never projective ones;
 parameters are never differentiated. The Euler derivation (identity matrix)
 multiplies a homogeneous polynomial by its degree and induces the zero field
-on projective space, so derivations are compared modulo scalar multiples of
-the identity (:func:`euler_reduce`). A diagonal derivation multiplies x^m by
-the dot product of its diagonal with m, the weight of m.
+on projective space. A diagonal derivation multiplies x^m by the dot product
+of its diagonal with m, the weight of m.
 """
 
 from __future__ import annotations
@@ -62,15 +61,6 @@ class Derivation:
     def size(self) -> int:
         return self.context.nproj
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
-
-    def trace(self) -> Polynomial:
-        t = self.context.zero()
-        for i in range(self.size):
-            t = t + self.entries[i][i]
-        return t
-
     def constant_entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Entry grid as rationals; fails when any entry involves a parameter."""
         rows = []
@@ -115,19 +105,3 @@ class Derivation:
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"
 
-
-def euler_reduce(D: Derivation) -> Derivation:
-    """Canonical representative modulo the Euler derivation.
-
-    Subtracts the rational part of the average diagonal entry times the
-    identity, so pure-rational matrices come out trace-free.
-    """
-    ctx = D.context
-    avg = D.trace() * Fraction(1, D.size)
-    shift = avg.coefficient(ctx.unit_monomial())
-    if not shift:
-        return D
-    rows = [list(row) for row in D.entries]
-    for i in range(D.size):
-        rows[i][i] = rows[i][i] - ctx.constant(shift)
-    return Derivation(ctx, tuple(tuple(row) for row in rows))

@@ -141,7 +141,8 @@ class _Packing:
 
 
 def _degree(p: Polynomial) -> int:
-    return sum(p.leading_term()[0])
+    # the order is degree-first, so this is the leading monomial's degree
+    return max(map(sum, p._terms))
 
 
 def _add_scaled(terms: dict, addend, shift: int, q: int) -> list[int]:
@@ -482,9 +483,11 @@ def zero_locus_ideal(D: Derivation) -> Ideal:
     ctx = D.context
     n = D.size
     units = [ctx.monomial({name: 1}) for name in ctx.projective]
-    # j-th coordinate of A^T x, and each minor x_i v_j - x_j v_i by monomial shifts
+    x = [ctx.variable(name) for name in ctx.projective]
+    # the j-th coordinate of A^T x as one term dict, then each minor
+    # x_i v_j - x_j v_i through the ring's product
     v = [Polynomial(ctx, {units[i]: A[i][j] for i in range(n)}) for j in range(n)]
-    minors = [v[j].mul_term(units[i], 1) - v[i].mul_term(units[j], 1) for i in range(n) for j in range(i + 1, n)]
+    minors = [x[i] * v[j] - x[j] * v[i] for i in range(n) for j in range(i + 1, n)]
     return Ideal.spanned_by(ctx, minors)
 
 

@@ -119,7 +119,7 @@ class VarContext:
 class Polynomial:
     """Immutable sparse polynomial attached to a :class:`VarContext`."""
 
-    __slots__ = ("context", "_terms", "_lead")
+    __slots__ = ("context", "_terms")
 
     def __init__(self, context: VarContext, terms: Mapping[Monomial, Fraction]):
         width = context.nvars
@@ -133,7 +133,6 @@ class Polynomial:
                 clean[m] = c
         self.context = context
         self._terms = clean
-        self._lead = None
 
     @classmethod
     def _trusted(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> "Polynomial":
@@ -142,7 +141,6 @@ class Polynomial:
         p = object.__new__(cls)
         p.context = context
         p._terms = terms
-        p._lead = None
         return p
 
     # -- inspection ------------------------------------------------------
@@ -158,10 +156,8 @@ class Polynomial:
     def leading_term(self) -> tuple[Monomial, Fraction]:
         if not self._terms:
             raise InputError("the zero polynomial has no leading term")
-        if self._lead is None:
-            m = max(self._terms, key=order_key)
-            self._lead = (m, self._terms[m])
-        return self._lead
+        m = max(self._terms, key=order_key)
+        return m, self._terms[m]
 
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and self.context.unit_monomial() in self._terms)
@@ -262,19 +258,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def mul_term(self, m: Monomial, c) -> "Polynomial":
-        """Multiply by the single term ``c * m`` (exponent-shift, no full product)."""
-        if len(m) != self.context.nvars or min(m) < 0:
-            raise InputError("monomial does not fit the variable context")
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
-        if not c:
-            return self.context.zero()
-        return Polynomial._trusted(
-            self.context,
-            {tuple(map(add, mm, m)): cc * c for mm, cc in self._terms.items()},
-        )
 
     # -- comparison / display ---------------------------------------------
 

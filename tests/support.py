@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 
 from projvf import (
     Derivation,
@@ -218,6 +218,12 @@ def partial_derivative(p: Polynomial, var: str) -> Polynomial:
     return Polynomial(p.context, terms)
 
 
+def mul_term(p: Polynomial, m, c=1) -> Polynomial:
+    """p times the single term c*x^m: every exponent vector of p shifted by m
+    and every coefficient scaled by c."""
+    return Polynomial(p.context, {tuple(map(add, mm, m)): cc * c for mm, cc in p._terms.items()})
+
+
 def substitute(p: Polynomial, assignment) -> Polynomial:
     """p with polynomials or constants put in for a subset of the variables,
     a mapping from names to values: each term c*x^m becomes c times the
@@ -232,7 +238,7 @@ def substitute(p: Polynomial, assignment) -> Polynomial:
             if residual[idx]:
                 factor = factor * value ** residual[idx]
                 residual[idx] = 0
-        result = result + factor.mul_term(tuple(residual), 1)
+        result = result + mul_term(factor, tuple(residual))
     return result
 
 
@@ -242,7 +248,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     mf, cf = f.leading_term()
     mg, cg = g.leading_term()
     lcm = tuple(map(max, mf, mg))
-    return f.mul_term(tuple(map(sub, lcm, mf)), 1 / cf) - g.mul_term(tuple(map(sub, lcm, mg)), 1 / cg)
+    return mul_term(f, tuple(map(sub, lcm, mf)), 1 / cf) - mul_term(g, tuple(map(sub, lcm, mg)), 1 / cg)
 
 
 def contains_one(gb: GroebnerBasis) -> bool:
@@ -305,7 +311,7 @@ def stabilizer_columns(h: Polynomial) -> list[Polynomial]:
     dh/dx_j for the unknown A_ij, (i, j) in row-major order, then -h for c."""
     ctx = h.context
     partials = [partial_derivative(h, v) for v in ctx.projective]
-    columns = [d.mul_term(ctx.monomial({xi: 1}), 1) for xi in ctx.projective for d in partials]
+    columns = [mul_term(d, ctx.monomial({xi: 1})) for xi in ctx.projective for d in partials]
     return columns + [-h]
 
 
@@ -357,7 +363,7 @@ def brute_force_member(f: Polynomial, generators, extra_degree: int = 4) -> bool
     for b in range(bound + 1):
         for m in all_monomials(ctx, b):
             for g in gens:
-                echelon_insert(basis, poly_row(g.mul_term(m, 1)))
+                echelon_insert(basis, poly_row(mul_term(g, m)))
         if in_span(basis, target):
             return True
         stable = stable + 1 if len(basis) == dim else 0
@@ -381,5 +387,5 @@ def macaulay_smooth(h: Polynomial) -> bool:
     assert isinstance(d, int) and d >= 2, "the oracle takes a nonzero form of degree >= 2"
     top = n * (d - 2) + 1
     shifts = monomials_of_degree(ctx, top - d + 1)
-    rows = [poly_row(partial_derivative(h, v).mul_term(m, 1)) for v in ctx.projective for m in shifts]
+    rows = [poly_row(mul_term(partial_derivative(h, v), m)) for v in ctx.projective for m in shifts]
     return dict_rows_rank(rows) == math.comb(top + n - 1, n - 1)

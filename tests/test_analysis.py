@@ -298,6 +298,17 @@ class TestVanishingVerdict:
         v = check_vanishing_on_curve(QUADRIC, euler(P4), CURVE)
         assert (v.stabilizes, v.smooth, v.vanishes_on_curve) == (True, True, True)
         assert v.scaling == 2 and v.euler_witness
+        # the witness marks exactly the scalar matrices, the zero matrix included
+        sheared = [[int(i == j) for j in range(5)] for i in range(5)]
+        sheared[0][3] = 1
+        for D, scalar in (
+            (Derivation.diagonal(P4, [0] * 5), True),
+            (Derivation.diagonal(P4, [Fraction(-1, 3)] * 5), True),
+            # the average of the diagonal, 6/5, is none of its entries
+            (Derivation.diagonal(P4, (1, 1, 1, 1, 2)), False),
+            (Derivation.from_rows(P4, sheared), False),
+        ):
+            assert check_vanishing_on_curve(QUADRIC, D, CURVE).euler_witness is scalar
 
     def test_diagonal_cubic_not_stabilized(self):
         curve = Ideal.spanned_by(

@@ -496,10 +496,13 @@ class TestPinnedOutput:
 
 @pytest.mark.parametrize("case", RECORDED, ids=lambda case: " ".join(case["argv"]))
 def test_replays_recorded_invocation(case, capsys):
-    """The benchmark's recorded stdout and exit code, byte for byte."""
+    """The benchmark's recorded stdout and exit code, byte for byte, and
+    nothing on stderr."""
     argv = [os.path.join(BENCH_DIR, a) if a.startswith("problems/") else a for a in case["argv"]]
     assert run(argv) == case["exit"]
-    assert capsys.readouterr().out == case["stdout"]
+    out, err = capsys.readouterr()
+    assert out == case["stdout"]
+    assert err == ""
 
 
 class TestInternalErrors:

@@ -12,7 +12,6 @@ from projvf import (
     InputError,
     Polynomial,
     VarContext,
-    euler_reduce,
     homogeneous_degree,
     parse_poly,
 )
@@ -127,46 +126,6 @@ class TestApply:
         f = rand_homogeneous(rng, ctx, degree)
         image = D(f)
         assert homogeneous_degree(image) in (degree, "any")
-
-
-class TestEulerReduce:
-    def test_euler_collapses_to_zero(self):
-        assert euler_reduce(euler(P4)).is_zero()
-
-    def test_trace_free_fixed(self):
-        assert euler_reduce(FIELD) == FIELD
-
-    def test_shifted_diagonal(self):
-        D = Derivation.diagonal(P4, (1, 1, 1, 2, 0))
-        reduced = euler_reduce(D)
-        assert reduced == FIELD
-        # difference is a scalar multiple of the identity
-        diff = [
-            [D.entries[i][j] - reduced.entries[i][j] for j in range(5)]
-            for i in range(5)
-        ]
-        scalar = diff[0][0]
-        for i in range(5):
-            for j in range(5):
-                assert diff[i][j] == (scalar if i == j else P4.zero())
-
-    def test_symbolic_entries_shift_rational_part_only(self):
-        a = P4C.variable("a")
-        D = Derivation.diagonal(P4C, [a + 1, 1, 1, 1, 1])
-        reduced = euler_reduce(D)
-        assert reduced.entries[0][0] == a
-        assert reduced.entries[1][1] == P4C.zero()
-
-    @given(st.integers(0, 10**9))
-    @settings(max_examples=40)
-    def test_bilinear_expression_invariant(self, seed):
-        rng = random.Random(seed)
-        ctx = SMALL
-        D = rand_derivation(rng, ctx)
-        E = euler_reduce(D)
-        f = rand_homogeneous(rng, ctx, 2)
-        g = rand_homogeneous(rng, ctx, 2)
-        assert D(f) * g - f * D(g) == E(f) * g - f * E(g)
 
 
 RELOAD_SCRIPT = """

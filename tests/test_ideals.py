@@ -38,6 +38,7 @@ from support import (
     identity,
     macaulay_smooth,
     mat_mul,
+    mul_term,
     partial_derivative,
     rand_homogeneous,
     rand_poly,
@@ -801,7 +802,7 @@ class TestTrustedConstruction:
         (mf, cf), (mg, cg) = f.leading_term(), g.leading_term()
         lcm = tuple(max(a, b) for a, b in zip(mf, mg))
         shift = lambda m: tuple(a - b for a, b in zip(lcm, m))
-        assert s == f.mul_term(shift(mf), 1 / cf) - g.mul_term(shift(mg), 1 / cg)
+        assert s == mul_term(f, shift(mf), 1 / cf) - mul_term(g, shift(mg), 1 / cg)
         gb = buchberger(Ideal.spanned_by(ctx, gens))
         for p in gb.basis:
             assert_clean(p)

@@ -79,7 +79,6 @@ CASES = {
         "not a constant polynomial: x0^2 + x1^2 + x2^2 + x3*x4",
     ),
     "negative power": (lambda: QUADRIC**-1, "polynomial powers take nonnegative integer exponents"),
-    "term product with a short monomial": (lambda: QUADRIC.mul_term((1, 0), 1), WRONG_WIDTH),
     "coefficient of a short monomial": (lambda: coefficient_of(QUADRIC, (2, 0)), WRONG_WIDTH),
     "monomials of negative degree": (lambda: monomials_of_degree(P4, -1), "degree must be nonnegative"),
 }
