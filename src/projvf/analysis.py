@@ -326,20 +326,17 @@ def check_vanishing_on_curve(
 
     failures: list[str] = []
     Dh = D(h)
-    if not Dh:
-        stabilizes, scaling = True, Fraction(0)
+    m, c = h.leading_term()
+    candidate = Dh.coefficient(m) / c
+    diff = Dh - h * candidate
+    if not diff:
+        stabilizes, scaling = True, candidate
     else:
-        m, c = h.leading_term()
-        candidate = Dh.coefficient(m) / c
-        diff = Dh - h * candidate
-        if not diff:
-            stabilizes, scaling = True, candidate
-        else:
-            stabilizes, scaling = False, None
-            witness = diff.leading_term()[0]
-            failures.append(
-                f"stabilizes: derivative differs from every scalar multiple at {h.context.monomial_str(witness)}"
-            )
+        stabilizes, scaling = False, None
+        witness = diff.leading_term()[0]
+        failures.append(
+            f"stabilizes: derivative differs from every scalar multiple at {h.context.monomial_str(witness)}"
+        )
 
     smooth = is_smooth_projective(h, max_steps)
     if not smooth:

@@ -82,9 +82,6 @@ class Ideal:
         """Build an ideal, silently dropping zero generators."""
         return cls(context, tuple(g for g in generators if g))
 
-    def is_zero(self) -> bool:
-        return not self.generators
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -250,25 +247,23 @@ def _groebner(
     pk: _Packing,
     rows: list[tuple],
     budget: _Budget,
-    stop: Callable[[Monomial], bool] | None = None,
-) -> tuple[_Packing, list[dict]] | bool:
-    """Reduced Groebner basis of the ideal that the rows generate.
+    stop: Callable[[Monomial], bool],
+) -> tuple[_Packing, list[tuple]] | None:
+    """Buchberger's algorithm on the rows, stopped early by ``stop``.
 
     ``rows``, which the engine takes over, holds primitive integer
     polynomials (:func:`_row`) on packed monomials of ``pk``, which must
     have room for twice their largest leading degree, the degree of any
     pair's lcm; the packing is widened between reductions when a new basis
-    element needs more. The result is the final packing and the reduced
-    basis as primitive packed term dicts, leading monomials descending.
-
-    With ``stop``, a predicate shown every leading monomial as it joins the
-    basis (the rows' first), the result is instead whether ``stop`` returned
-    True: the computation ends there, and a basis that completes first is
-    left as it is, neither minimalised nor inter-reduced.
+    element needs more. ``stop`` is shown every leading monomial as it joins
+    the basis (the rows' first): the result is None as soon as it returns
+    True, and otherwise, when the pair queue empties, the final packing and
+    the rows of a Groebner basis, the input rows first, neither minimalised
+    nor inter-reduced.
     """
     leads = [pk.unpack(lm) for lm, _, _ in rows]
-    if stop is not None and any(map(stop, leads)):
-        return True
+    if any(map(stop, leads)):
+        return None
 
     heap: list[tuple[int, int, int]] = []
     pending: set[tuple[int, int]] = set()
@@ -314,38 +309,12 @@ def _groebner(
                 terms = {move(m): c for m, c in terms.items()}
             rows.append(_row(terms))
             leads.append(lead)
-            if stop is not None and stop(lead):
-                return True
+            if stop(lead):
+                return None
             new = len(rows) - 1
             for k in range(new):
                 push(k, new)
-    if stop is not None:
-        return False
-
-    # minimalise: drop elements whose leading term another element divides
-    zero, mask = pk.zero, pk.mask
-    minimal: list[int] = []
-    for i, (lt, _, _) in enumerate(rows):
-        redundant = False
-        for k, (lo, _, _) in enumerate(rows):
-            if k == i:
-                continue
-            if not (lt + zero - lo) & mask and (lo != lt or k < i):
-                redundant = True
-                break
-        if not redundant:
-            minimal.append(i)
-
-    # inter-reduce tails for the unique reduced basis
-    reduced: list[dict] = []
-    for i in minimal:
-        lm, lc, tail = rows[i]
-        terms = dict(tail)
-        terms[lm] = lc
-        others = [rows[k] for k in minimal if k != i]
-        reduced.append(_reduce(terms, others, budget, pk)[0] if others else terms)
-    reduced.sort(key=max, reverse=True)
-    return pk, reduced
+    return pk, rows
 
 
 def _require_parameter_free(polys: Iterable[Polynomial], what: str):
@@ -370,7 +339,26 @@ def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
     _require_parameter_free(I.generators, "Groebner basis generators")
     budget = _Budget(max_steps)
     pk = _Packing(I.context.nvars, 2 * max(map(_degree, I.generators), default=0))
-    pk, reduced = _groebner(pk, [_row(_primitive(pk.terms(g))) for g in I.generators], budget)
+    pk, rows = _groebner(pk, [_row(_primitive(pk.terms(g))) for g in I.generators], budget, lambda lead: False)
+
+    # minimalise: keep an element unless the leading monomial of one kept
+    # before divides its own; a divisor is never larger than what it divides,
+    # and the stable sort keeps the first of equal leading monomials
+    minimal: list[int] = []
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][0]):
+        if all((rows[i][0] + pk.zero - rows[k][0]) & pk.mask for k in minimal):
+            minimal.append(i)
+    minimal.sort()
+
+    # inter-reduce tails for the unique reduced basis
+    reduced: list[dict] = []
+    for i in minimal:
+        lm, lc, tail = rows[i]
+        terms = dict(tail)
+        terms[lm] = lc
+        others = [rows[k] for k in minimal if k != i]
+        reduced.append(_reduce(terms, others, budget, pk)[0] if others else terms)
+    reduced.sort(key=max, reverse=True)
     return GroebnerBasis(context=I.context, basis=tuple(_monic(terms, pk, I.context) for terms in reduced))
 
 
@@ -408,13 +396,11 @@ def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) 
     _require_parameter_free([f], "radical membership query")
     if not f:
         return True
-    if I.is_zero():
-        return False
-    pk = _Packing(f.context.nvars + 1, 2 * max(_degree(f) + 1, *map(_degree, I.generators)))
+    pk = _Packing(f.context.nvars + 1, 2 * max([_degree(f) + 1, *map(_degree, I.generators)]))
     extension = {pk.pack(m + (1,)): -c for m, c in f._terms.items()}
     extension[pk.zero] = 1
     terms = [{pk.pack(m + (0,)): c for m, c in g._terms.items()} for g in I.generators] + [extension]
-    return _groebner(pk, [_row(_primitive(t)) for t in terms], _Budget(max_steps), lambda lead: not any(lead))
+    return _groebner(pk, [_row(_primitive(t)) for t in terms], _Budget(max_steps), lambda lead: not any(lead)) is None
 
 
 def _gradient_rows(h: Polynomial, d: int) -> tuple[_Packing, list[tuple]]:
@@ -469,7 +455,7 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
         uncovered.difference_update([i for i in uncovered if lead[i] == e])
         return not uncovered
 
-    return _groebner(*_gradient_rows(h, d), _Budget(max_steps), covers_all)
+    return _groebner(*_gradient_rows(h, d), _Budget(max_steps), covers_all) is None
 
 
 def zero_locus_ideal(D: Derivation) -> Ideal:

@@ -358,17 +358,8 @@ def monomials_of_degree(ctx: VarContext, degree: int) -> list[Monomial]:
         raise InputError("degree must be nonnegative")
     width = ctx.nproj
     pad = (0,) * (ctx.nvars - width)
-    out = []
-    for bars in itertools.combinations(range(degree + width - 1), width - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(degree + width - 1 - prev - 1)
-        out.append(tuple(exps) + pad)
-    out.sort(key=order_key, reverse=True)
-    return out
+    combinations = itertools.combinations_with_replacement(range(width), degree)
+    return sorted((tuple(map(c.count, range(width))) + pad for c in combinations), key=order_key, reverse=True)
 
 
 def _vertex_monomials(ctx: VarContext, k: int, d: int) -> tuple[Monomial, ...]:

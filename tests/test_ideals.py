@@ -367,6 +367,10 @@ class TestRadicalMembership:
         zero = Ideal.spanned_by(SMALL, ())
         assert radical_member(SMALL.zero(), zero)
         assert not radical_member(SMALL.variable("x0"), zero)
+        # decided without a reduction step
+        assert radical_member(SMALL.zero(), zero, max_steps=0)
+        assert not radical_member(SMALL.variable("x0"), zero, max_steps=0)
+        assert not radical_member(SMALL.constant(5), zero, max_steps=0)
 
     def test_extension_variable_dodges_declared_names(self):
         assert radical_member(parse_poly("t", DECLARED_T), ideal_of(DECLARED_T, "t^2"))
@@ -682,6 +686,32 @@ PINNED_STEPS = [
 #: recorded when the engine's S-pairs still went through ``s_polynomial``
 PINNED_S_PAIRS = [0, 15, 25, 45, 25, 11]
 
+#: (generators in P^3, exact number of budget steps, reduced basis) for
+#: generators that share a leading monomial: minimalisation keeps one element
+#: per leading monomial, the first, and the inter-reduction steps depend on
+#: which one it keeps. Recorded with a pairwise minimalisation loop.
+TIED_LEADS = [
+    pytest.param(
+        ("x0^2 + x1^2", "x0^2 - x1*x2", "3*x0^2 + 3*x1^2"), 7, ["x0^2 - x1*x2", "x1^2 + x1*x2"], id="three-tied"
+    ),
+    pytest.param(("x0^2 + x1^2", "3*x0^2 + 3*x1^2"), 0, ["x0^2 + x1^2"], id="proportional"),
+    pytest.param(
+        ("x0*x1 - x2^2", "x0*x1 + x3^2", "x0^2 - x2*x3", "x0^2 + x1*x3"),
+        54,
+        [
+            "x2*x3^3",
+            "x3^4",
+            "x0*x2*x3 - x3^3",
+            "x0*x3^2 + x3^3",
+            "x0^2 - x2*x3",
+            "x0*x1 + x3^2",
+            "x2^2 + x3^2",
+            "x1*x3 + x2*x3",
+        ],
+        id="two-tied-pairs",
+    ),
+]
+
 
 class TestStepSequence:
     """The budget is spent once per reduction step, so these counts are exact."""
@@ -698,6 +728,13 @@ class TestStepSequence:
         calls = counting_s_pairs(monkeypatch)
         compute(steps)
         assert len(calls) == pairs
+
+    @pytest.mark.parametrize("generators, steps, basis", TIED_LEADS)
+    def test_tied_leading_monomials(self, generators, steps, basis):
+        I = ideal_of(P3, *generators)
+        assert [str(p) for p in buchberger(I, max_steps=steps).basis] == basis
+        with pytest.raises(ResourceLimitError):
+            buchberger(I, max_steps=steps - 1)
 
     def test_pinned_results(self):
         assert is_smooth_projective(CUBIC4) and not is_smooth_projective(CAYLEY)
@@ -813,7 +850,7 @@ class TestTrustedConstruction:
 class TestZeroLocus:
     def test_euler_field_vanishes_everywhere(self):
         locus = zero_locus_ideal(euler(P4))
-        assert locus.is_zero()
+        assert not locus.generators
 
     def test_quadric_field_components(self):
         locus = zero_locus_ideal(FIELD)
@@ -862,7 +899,7 @@ class TestZeroLocus:
                 D = Derivation.from_rows(ctx, [[entry() for _ in range(n)] for _ in range(n)])
             got = zero_locus_ideal(D)
             assert got == zero_locus_reference(D)
-            assert got.is_zero() or not scalar
+            assert not got.generators or not scalar
 
     @pytest.mark.parametrize("shear", [None, (0, 3), (1, 4), (2, 0)])
     def test_rational_points_match_eigenspaces(self, shear):
