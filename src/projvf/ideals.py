@@ -51,7 +51,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .derivations import Derivation
 from .errors import DEFAULT_MAX_STEPS, InputError, _Budget
@@ -458,13 +458,9 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
     return _groebner(*_gradient_rows(h, d), _Budget(max_steps), covers_all) is None
 
 
-def zero_locus_ideal(D: Derivation) -> Ideal:
-    """Ideal of the vanishing scheme of the induced field on projective space.
-
-    Cut out by the 2x2 minors of the array with rows (x_0,...,x_n) and
-    A^T x, where A is the derivation's entry matrix. The Euler derivation
-    gives the zero ideal: its induced field vanishes everywhere.
-    """
+def _minors(D: Derivation) -> Iterator[Polynomial]:
+    """The minors of :func:`zero_locus_ideal` in its order, each built when
+    drawn; the entry matrix is read at once, so a symbolic D raises here."""
     A = D.constant_entries()
     ctx = D.context
     n = D.size
@@ -473,8 +469,17 @@ def zero_locus_ideal(D: Derivation) -> Ideal:
     # the j-th coordinate of A^T x as one term dict, then each minor
     # x_i v_j - x_j v_i through the ring's product
     v = [Polynomial(ctx, {units[i]: A[i][j] for i in range(n)}) for j in range(n)]
-    minors = [x[i] * v[j] - x[j] * v[i] for i in range(n) for j in range(i + 1, n)]
-    return Ideal.spanned_by(ctx, minors)
+    return (x[i] * v[j] - x[j] * v[i] for i in range(n) for j in range(i + 1, n))
+
+
+def zero_locus_ideal(D: Derivation) -> Ideal:
+    """Ideal of the vanishing scheme of the induced field on projective space.
+
+    Cut out by the 2x2 minors of the array with rows (x_0,...,x_n) and
+    A^T x, where A is the derivation's entry matrix. The Euler derivation
+    gives the zero ideal: its induced field vanishes everywhere.
+    """
+    return Ideal.spanned_by(D.context, _minors(D))
 
 
 def vanishes_on(
@@ -494,10 +499,10 @@ def vanishes_on(
     if D.context != I.context:
         raise InputError("derivation and ideal belong to different variable contexts")
     _require_parameter_free(I.generators, "vanishing-locus generators")
-    Z = zero_locus_ideal(D)
+    minors = _minors(D)
     gb = buchberger(I, max_steps)
     reduced = Ideal(I.context, gb.basis)
-    for g in Z.generators:
-        if normal_form(g, gb, max_steps) and (scheme_theoretic or not radical_member(g, reduced, max_steps)):
+    for g in minors:
+        if g and normal_form(g, gb, max_steps) and (scheme_theoretic or not radical_member(g, reduced, max_steps)):
             return False
     return True

@@ -1,8 +1,12 @@
 """Shared helpers for the test suite: random generators and independent oracles.
 
-The oracles here deliberately avoid the library's reduction machinery: span
-membership is decided with a local sparse Gaussian elimination over plain
-dicts, so Groebner results are checked against a second, unrelated route.
+The oracles are the benchmark's exact dict arithmetic in ``bench/exact.py``
+(and its stabilizer count in ``bench/oracles.py``), which ``conftest.py``
+makes importable and which import nothing from projvf. A ``Polynomial``'s
+``_terms`` is already such a dict, from exponent tuples to Fractions, so each
+helper here only unwraps its arguments, calls those routines, and wraps the
+result: products, derivatives, values, ranks and null spaces never go
+through the code under test.
 """
 
 from __future__ import annotations
@@ -10,8 +14,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import add, sub
+from functools import reduce
 
+from exact import mat_vec, matmul, monomials, null_space, padd, pdiff, peval, pmul, rank, unit, upoly_mul
+from oracles import stabilizer_dimension
 from projvf import (
     Derivation,
     GroebnerBasis,
@@ -21,11 +27,7 @@ from projvf import (
     RatMatrix,
     UnivariatePoly,
     VarContext,
-    homogeneous_degree,
-    kernel_basis,
-    monomials_of_degree,
     order_key,
-    rref,
 )
 
 #: test-only contexts; the paper's fixtures live in projvf.verify
@@ -57,7 +59,7 @@ def rand_poly(
 
 
 def rand_homogeneous(rng: random.Random, ctx: VarContext, degree: int, max_terms: int = 4) -> Polynomial:
-    monos = monomials_of_degree(ctx, degree)
+    monos = all_monomials(ctx, degree, ctx.nproj)
     terms = {}
     for m in rng.sample(monos, min(max_terms, len(monos))):
         c = rand_fraction(rng)
@@ -70,18 +72,21 @@ def rand_matrix(rng: random.Random, rows: int, cols: int, span: int = 5):
     return [[Fraction(rng.randint(-span, span)) for _ in range(cols)] for _ in range(rows)]
 
 
-def mul_vec(M: RatMatrix, v) -> tuple[Fraction, ...]:
-    """The product M v over Q, for a vector v as long as M is wide."""
-    assert len(v) == M.cols, "vector length does not match matrix width"
-    return tuple(sum((a * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in M.entries)
+def all_monomials(ctx: VarContext, degree: int, width: int | None = None) -> list:
+    """Every monomial of the given total degree in the context's first
+    ``width`` variables (all of them, parameters included, by default),
+    padded to the context's width and sorted descending in the order."""
+    width = ctx.nvars if width is None else width
+    pad = (0,) * (ctx.nvars - width)
+    return sorted((m + pad for m in monomials(width, degree)), key=order_key, reverse=True)
+
+
+# -- matrices and polynomials in t ----------------------------------------------
 
 
 def matrix_from_strings(rows) -> RatMatrix:
     """Row-major matrix of rational strings (``p/q`` or ``p``)."""
     return RatMatrix([[Fraction(v) for v in row] for row in rows])
-
-
-# -- reference matrix and polynomial arithmetic --------------------------------
 
 
 def zeros(rows: int, cols: int) -> RatMatrix:
@@ -107,18 +112,16 @@ def mat_scale(A: RatMatrix, c) -> RatMatrix:
 
 
 def mat_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
-    assert A.cols == B.rows, "matrix shapes do not allow multiplication"
-    cols = list(zip(*B.entries))
-    return RatMatrix([[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in A.entries])
+    return RatMatrix(matmul(A.entries, B.entries))
+
+
+def mul_vec(M: RatMatrix, v) -> tuple[Fraction, ...]:
+    """The product M v over Q, for a vector v as long as M is wide."""
+    return tuple(mat_vec(M.entries, v))
 
 
 def poly_mul(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
-    """The product of two polynomials in t, by the schoolbook convolution."""
-    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return UnivariatePoly.of(out)
+    return UnivariatePoly.of(upoly_mul(p.coeffs, q.coeffs))
 
 
 def spans(sol, A: RatMatrix, lam) -> bool:
@@ -126,8 +129,21 @@ def spans(sol, A: RatMatrix, lam) -> bool:
     if not sol.pairs:
         return False
     rows = [[*(v for row in m.entries for v in row), c] for m, c in sol.pairs]
-    target = [*(v for row in A.entries for v in row), Fraction(lam)]
-    return rref(RatMatrix(rows))[1] == rref(RatMatrix(rows + [target]))[1]
+    return rank(rows) == rank(rows + [[*(v for row in A.entries for v in row), lam]])
+
+
+# -- polynomials as term dicts --------------------------------------------------
+
+
+def terms_rank(rows) -> int:
+    """Rank of term dicts read as coefficient rows, one column per monomial."""
+    columns = {m: k for k, m in enumerate({m for row in rows for m in row})}
+    dense = []
+    for row in rows:
+        dense.append([0] * len(columns))
+        for m, c in row.items():
+            dense[-1][columns[m]] = c
+    return rank(dense)
 
 
 def euler(ctx: VarContext) -> Derivation:
@@ -137,91 +153,55 @@ def euler(ctx: VarContext) -> Derivation:
 
 def zero_locus_reference(D: Derivation) -> Ideal:
     """The 2x2 minors x_i v_j - x_j v_i of the rows x and v = A^T x, for the
-    constant entry matrix A of D, built from full Polynomial products."""
+    constant entry matrix A of D."""
     A = D.constant_entries()
     ctx = D.context
     n = D.size
-    xs = [ctx.variable(name) for name in ctx.projective]
-    v = [sum((xs[i] * A[i][j] for i in range(n)), ctx.zero()) for j in range(n)]
-    return Ideal.spanned_by(ctx, [xs[i] * v[j] - xs[j] * v[i] for i in range(n) for j in range(i + 1, n)])
+    x = [{unit(ctx.nvars, i): 1} for i in range(n)]
+    v = [{unit(ctx.nvars, i): A[i][j] for i in range(n) if A[i][j]} for j in range(n)]
+    minors = [padd(pmul(x[i], v[j]), pmul(x[j], v[i]), -1) for i in range(n) for j in range(i + 1, n)]
+    return Ideal.spanned_by(ctx, [Polynomial(ctx, m) for m in minors])
 
 
 def mul_reference(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p*q by the schoolbook double loop, each coefficient summed from a
-    Fraction(0) default and dropped as soon as it cancels."""
-    acc: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            s = acc.get(m, Fraction(0)) + c1 * c2
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-    return Polynomial(p.context, acc)
+    return Polynomial(p.context, pmul(p._terms, q._terms))
 
 
 def pow_reference(p: Polynomial, n: int) -> Polynomial:
-    """p**n by binary powering over :func:`mul_reference`, one-term bases included."""
-    result, base = p.context.one(), p
-    while n:
-        if n & 1:
-            result = mul_reference(result, base)
-        base = mul_reference(base, base) if n > 1 else base
-        n >>= 1
-    return result
+    """p**n as n products, starting from 1."""
+    return Polynomial(p.context, reduce(pmul, [p._terms] * n, {p.context.unit_monomial(): 1}))
 
 
 def apply_reference(D: Derivation, f: Polynomial) -> Polynomial:
-    """D(f) = sum_ij a_ij * x_i * df/dx_j, from whole partial derivatives and
-    :func:`mul_reference` products, one column j at a time."""
+    """D(f) = sum_ij a_ij * x_i * df/dx_j, entries a_ij symbolic or constant."""
     ctx = D.context
-    result = ctx.zero()
-    for j, name in enumerate(ctx.projective):
-        df = partial_derivative(f, name)
-        for i, xi in enumerate(ctx.projective):
-            if D.entries[i][j] and df:
-                result = result + mul_reference(D.entries[i][j], mul_reference(ctx.variable(xi), df))
-    return result
-
-
-# -- reference computations on Polynomial values -------------------------------
+    total: dict = {}
+    for j in range(ctx.nproj):
+        df = pdiff(f._terms, j)
+        for i in range(ctx.nproj):
+            total = padd(total, pmul(D.entries[i][j]._terms, pmul({unit(ctx.nvars, i): 1}, df)))
+    return Polynomial(ctx, total)
 
 
 def evaluate(p: Polynomial, point) -> Fraction:
     """Exact value of p at ``point``, a mapping that assigns every variable of
     the context."""
-    ctx = p.context
-    missing = [n for n in ctx.names if n not in point]
+    missing = [n for n in p.context.names if n not in point]
     if missing:
         raise InputError(f"missing assignment for {', '.join(missing)}")
-    values = [Fraction(point[n]) for n in ctx.names]
-    total = Fraction(0)
-    for m, c in p.items():
-        v = c
-        for e, x in zip(m, values):
-            if e:
-                v *= x**e
-        total += v
-    return total
+    return peval(p._terms, [point[n] for n in p.context.names])
 
 
 def partial_derivative(p: Polynomial, var: str) -> Polynomial:
-    """Formal partial derivative with respect to any declared variable, term
-    by term: c*x^m becomes c*m_i*x^(m - e_i). The terms keep p's own order,
-    as ``ideals._gradient_rows`` does, so that packed rows compare equal."""
-    idx = p.context.index(var)
-    terms = {}
-    for m, c in p._terms.items():
-        if m[idx]:
-            terms[m[:idx] + (m[idx] - 1,) + m[idx + 1 :]] = c * m[idx]
-    return Polynomial(p.context, terms)
+    """Formal partial derivative with respect to any declared variable. The
+    terms keep p's own order, as ``ideals._gradient_rows`` does, so that
+    packed rows compare equal."""
+    return Polynomial(p.context, pdiff(p._terms, p.context.index(var)))
 
 
 def mul_term(p: Polynomial, m, c=1) -> Polynomial:
-    """p times the single term c*x^m: every exponent vector of p shifted by m
-    and every coefficient scaled by c."""
-    return Polynomial(p.context, {tuple(map(add, mm, m)): cc * c for mm, cc in p._terms.items()})
+    """p times the single term c*x^m."""
+    return Polynomial(p.context, pmul(p._terms, {m: c}))
 
 
 def substitute(p: Polynomial, assignment) -> Polynomial:
@@ -229,26 +209,26 @@ def substitute(p: Polynomial, assignment) -> Polynomial:
     a mapping from names to values: each term c*x^m becomes c times the
     powers of the assigned values times the unassigned rest of x^m."""
     ctx = p.context
-    subs = {ctx.index(name): v if isinstance(v, Polynomial) else ctx.constant(v) for name, v in assignment.items()}
-    result = ctx.zero()
-    for m, c in p.items():
-        residual = list(m)
-        factor = ctx.constant(c)
-        for idx, value in subs.items():
-            if residual[idx]:
-                factor = factor * value ** residual[idx]
-                residual[idx] = 0
-        result = result + mul_term(factor, tuple(residual))
-    return result
+    subs = {
+        ctx.index(name): v._terms if isinstance(v, Polynomial) else {ctx.unit_monomial(): v}
+        for name, v in assignment.items()
+    }
+    total: dict = {}
+    for m, c in p._terms.items():
+        term = {tuple(0 if i in subs else e for i, e in enumerate(m)): c}
+        for i, value in subs.items():
+            term = reduce(pmul, [value] * m[i], term)
+        total = padd(total, term)
+    return Polynomial(ctx, total)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """x^a f / lc(f) - x^b g / lc(g), where x^a lm(f) = x^b lm(g) =
     lcm(lm(f), lm(g)), so that the leading terms cancel."""
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
+    (mf, cf), (mg, cg) = f.leading_term(), g.leading_term()
     lcm = tuple(map(max, mf, mg))
-    return mul_term(f, tuple(map(sub, lcm, mf)), 1 / cf) - mul_term(g, tuple(map(sub, lcm, mg)), 1 / cg)
+    shift = lambda m: tuple(a - b for a, b in zip(lcm, m))
+    return Polynomial(f.context, padd(pmul(f._terms, {shift(mf): 1 / cf}), pmul(g._terms, {shift(mg): 1 / cg}), -1))
 
 
 def contains_one(gb: GroebnerBasis) -> bool:
@@ -256,120 +236,40 @@ def contains_one(gb: GroebnerBasis) -> bool:
     return gb.basis == (gb.context.one(),)
 
 
-# -- independent sparse elimination over monomial-keyed dicts -----------------
-
-
-def _pivot(row: dict) -> tuple:
-    return max(row)
-
-
-def echelon_insert(basis: dict, row: dict) -> bool:
-    """Reduce a sparse row against an echelon set; insert if independent."""
-    row = dict(row)
-    while row:
-        piv = _pivot(row)
-        if piv in basis:
-            c = row[piv]
-            other = basis[piv]
-            for m, v in other.items():
-                s = row.get(m, Fraction(0)) - c * v
-                if s:
-                    row[m] = s
-                else:
-                    row.pop(m, None)
-        else:
-            c = row[piv]
-            basis[piv] = {m: v / c for m, v in row.items()}
-            return True
-    return False
-
-
-def in_span(basis: dict, row: dict) -> bool:
-    return not echelon_insert(dict(basis), row) if row else True
-
-
-def poly_row(p: Polynomial) -> dict:
-    return {m: c for m, c in p.items()}
-
-
-def dict_rows_rank(rows) -> int:
-    """Rank of a list of sparse rows (dicts keyed by orderable column labels)."""
-    basis: dict = {}
-    for row in rows:
-        echelon_insert(basis, {k: Fraction(v) for k, v in row.items() if v})
-    return len(basis)
-
-
-def all_monomials(ctx: VarContext, degree: int) -> list:
-    """Every monomial of the given total degree in all of the context's
-    variables, parameters included, sorted descending in the order."""
-    return monomials_of_degree(VarContext(ctx.names), degree)
-
-
-def stabilizer_columns(h: Polynomial) -> list[Polynomial]:
-    """The columns of the system D_A h = c*h as Polynomial products: x_i times
-    dh/dx_j for the unknown A_ij, (i, j) in row-major order, then -h for c."""
-    ctx = h.context
-    partials = [partial_derivative(h, v) for v in ctx.projective]
-    columns = [mul_term(d, ctx.monomial({xi: 1})) for xi in ctx.projective for d in partials]
-    return columns + [-h]
+# -- linear-algebra oracles ----------------------------------------------------
 
 
 def stabilizer_reference(h: Polynomial) -> tuple:
-    """The pairs (A, c) of ``stabilizer_algebra`` from the Polynomial columns,
-    one row per monomial that occurs in them, sorted descending in the order,
-    with each entry looked up by ``coefficient``."""
-    n = h.context.nproj
-    columns = stabilizer_columns(h)
-    monomials = sorted({m for p in columns for m, _ in p.items()}, key=order_key, reverse=True)
-    matrix = RatMatrix([[p.coefficient(m) for p in columns] for m in monomials])
-    return tuple((RatMatrix([v[i * n : (i + 1) * n] for i in range(n)]), v[-1]) for v in kernel_basis(matrix))
+    """The pairs (A, c) of ``stabilizer_algebra``: the null-space basis of the
+    system D_A h = c*h, one column x_i * dh/dx_j per unknown A_ij in
+    row-major order, then -h for c."""
+    ctx = h.context
+    n = ctx.nproj
+    columns = [pmul({unit(ctx.nvars, i): 1}, pdiff(h._terms, j)) for i in range(n) for j in range(n)]
+    columns.append({m: -c for m, c in h._terms.items()})
+    monos = sorted({m for col in columns for m in col})
+    basis = null_space([[col.get(m, 0) for col in columns] for m in monos], len(columns))
+    return tuple((RatMatrix([v[i * n : (i + 1) * n] for i in range(n)]), v[-1]) for v in basis)
 
 
 def brute_force_stabilizer_dimension(h: Polynomial) -> int:
-    """Independent stabilizer count: corank of the full coefficient-matching
-    system over every monomial of the right degree, eliminated locally."""
-    ctx = h.context
-    n = ctx.nproj
-    degree = max(sum(m[:n]) for m, _ in h.items())
-    columns = stabilizer_columns(h)
-    rows = []
-    for m in monomials_of_degree(ctx, degree):
-        row = {k: p.coefficient(m) for k, p in enumerate(columns) if p.coefficient(m)}
-        rows.append(row)
-    return n * n + 1 - dict_rows_rank(rows)
+    return stabilizer_dimension(h.context.nproj, h._terms)
 
 
 def brute_force_member(f: Polynomial, generators, extra_degree: int = 4) -> bool:
-    """Degree-truncated linear-algebra membership oracle.
-
-    Builds the span of m*g over all monomials m of degree <= B and tests
-    whether f reduces to zero against it, raising B until the span stops
-    growing past a safe floor.
-    """
-    ctx = f.context
-    gens = [g for g in generators if g]
+    """Degree-truncated linear-algebra membership oracle: whether f lies in
+    the span of m*g over the generators g and the monomials m of degree at
+    most B = deg f + 2 + extra_degree, tried for B = 0, 1, ... in turn. The
+    span grows with B for good (x0^B times a generator of top degree is new),
+    so there is no earlier point at which a miss is final."""
+    gens = [g._terms for g in generators if g]
     if not gens:
         return not f
-    target = poly_row(f)
-    if not target:
-        return True
-    f_degree = max(sum(m) for m in target)
-    floor = f_degree + 2
-    basis: dict = {}
-    dim = 0
-    stable = 0
-    bound = floor + extra_degree
-    for b in range(bound + 1):
-        for m in all_monomials(ctx, b):
-            for g in gens:
-                echelon_insert(basis, poly_row(mul_term(g, m)))
-        if in_span(basis, target):
+    rows: list = []
+    for b in range(max(map(sum, f._terms), default=0) + 3 + extra_degree):
+        rows += [pmul(g, {m: 1}) for m in all_monomials(f.context, b) for g in gens]
+        if terms_rank(rows + [f._terms]) == terms_rank(rows):
             return True
-        stable = stable + 1 if len(basis) == dim else 0
-        dim = len(basis)
-        if b >= floor and stable >= 2:
-            return False
     return False
 
 
@@ -383,9 +283,10 @@ def macaulay_smooth(h: Polynomial) -> bool:
     degree D = N(d - 2) + 1."""
     ctx = h.context
     n = ctx.nproj
-    d = homogeneous_degree(h)
-    assert isinstance(d, int) and d >= 2, "the oracle takes a nonzero form of degree >= 2"
+    degrees = {sum(m) for m in h._terms}
+    assert len(degrees) == 1 and min(degrees) >= 2, "the oracle takes a nonzero form of degree >= 2"
+    (d,) = degrees
     top = n * (d - 2) + 1
-    shifts = monomials_of_degree(ctx, top - d + 1)
-    rows = [poly_row(mul_term(partial_derivative(h, v), m)) for v in ctx.projective for m in shifts]
-    return dict_rows_rank(rows) == math.comb(top + n - 1, n - 1)
+    shifts = all_monomials(ctx, top - d + 1, n)
+    rows = [pmul(pdiff(h._terms, i), {m: 1}) for i in range(n) for m in shifts]
+    return terms_rank(rows) == math.comb(top + n - 1, n - 1)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact import inverse, linear_substitute, pdiff, peval, unit
 from hypothesis import given, settings, strategies as st
 
 from projvf import (
@@ -28,6 +29,7 @@ from projvf import (
     zero_locus_ideal,
 )
 from projvf import ideals
+from projvf.polyring import _vertex_monomials
 from projvf.verify import P3, P4, QUADRIC, QUADRIC_CURVE as CURVE, QUADRIC_FIELD as FIELD
 from support import (
     SMALL,
@@ -429,6 +431,12 @@ CAYLEY_TEXT = "x1*x2*x3 + x0*x2*x3 + x0*x1*x3 + x0*x1*x2"
 FERMAT3_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
 CAYLEY = parse_poly(CAYLEY_TEXT, P3)
 FERMAT3 = parse_poly(FERMAT3_TEXT, P3)
+#: the Cayley cubic's four nodes are the coordinate points; the integer
+#: change of coordinates x = MOVE y (its inverse is integral too) moves them
+#: to the columns of MOVE's inverse, so that every coordinate point carries a
+#: vertex monomial and a singular verdict has to come from the engine
+MOVE = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]
+MOVED_CAYLEY = Polynomial(P3, linear_substitute(CAYLEY._terms, MOVE))
 #: smooth inputs whose gradients' own leading monomials are not all pure
 #: powers, so that a verdict takes reduction steps
 PERTURBED_FERMAT3 = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2", P3)
@@ -456,6 +464,18 @@ def smoothness_corpus():
     return cases
 
 
+def macaulay_corpus(seed):
+    """Seeded random quadrics and cubics in P^3, 3-12 terms each."""
+    rng = random.Random(f"macaulay:{seed}")
+    cases = []
+    for degree, count in ((2, 24), (3, 12)):
+        for _ in range(count):
+            h = rand_homogeneous(rng, P3, degree, max_terms=rng.randint(3, 12))
+            if h:
+                cases.append(h)
+    return cases
+
+
 def fermat_quartic_plus(k, seed):
     """x0^4 + ... + x4^4 plus k other quartic monomials with coefficients in
     +-{1, 2, 3}: a dense smooth quartic threefold for most draws."""
@@ -463,6 +483,19 @@ def fermat_quartic_plus(k, seed):
     others = [m for m in monomials_of_degree(P4, 4) if max(m) < 4]
     terms = {m: Fraction(rng.choice((1, 2, 3)) * rng.choice((1, -1))) for m in rng.sample(others, k)}
     return parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x4^4", P4) + Polynomial(P4, terms)
+
+
+def bare_vertices(h):
+    """The k for which none of h's vertex monomials at e_k occurs in h: h(e_k)
+    and every dh/dx_j(e_k) are coefficients of those monomials."""
+    ctx, d = h.context, homogeneous_degree(h)
+    return [k for k in range(ctx.nproj) if not any(h.coefficient(m) for m in _vertex_monomials(ctx, k, d))]
+
+
+def singular_at(h, point):
+    """Whether h and all of its partials vanish at the point, read by the
+    benchmark's dict arithmetic."""
+    return all(peval(p, point) == 0 for p in [h._terms, *(pdiff(h._terms, i) for i in range(h.context.nproj))])
 
 
 def smooth_by_reduced_basis(h):
@@ -544,7 +577,7 @@ class TestSmoothness:
         verdict = is_smooth_projective(parse_poly(text, P3))
         assert is_smooth_projective(parse_poly(text, with_param)) == verdict
 
-    @pytest.mark.parametrize("h", [CAYLEY, PERTURBED_FERMAT3, PENTAGON_QUADRIC])
+    @pytest.mark.parametrize("h", [CAYLEY, PERTURBED_FERMAT3, PENTAGON_QUADRIC, MOVED_CAYLEY])
     def test_tiny_budget_raises(self, h):
         with pytest.raises(ResourceLimitError):
             is_smooth_projective(h, max_steps=1)
@@ -588,10 +621,29 @@ class TestSmoothness:
 
     def test_singular_runs_the_pair_queue_to_the_end(self, monkeypatch):
         calls = counting_s_pairs(monkeypatch)
-        assert not is_smooth_projective(CAYLEY)
-        singular = len(calls)
-        buchberger(Ideal.spanned_by(P3, gradient(CAYLEY)))
-        assert singular == len(calls) - singular > 0
+        for h in (CAYLEY, MOVED_CAYLEY):
+            calls.clear()
+            assert not is_smooth_projective(h)
+            singular = len(calls)
+            buchberger(Ideal.spanned_by(P3, gradient(h)))
+            assert singular == len(calls) - singular > 0
+
+    def test_moved_cayley_has_a_vertex_monomial_at_every_coordinate_point(self):
+        assert bare_vertices(CAYLEY) == [0, 1, 2, 3] and bare_vertices(MOVED_CAYLEY) == []
+        assert all(singular_at(MOVED_CAYLEY, node) for node in zip(*inverse(MOVE)))
+
+    def test_a_coordinate_point_without_vertex_monomials_is_singular(self):
+        cases = smoothness_corpus() + macaulay_corpus(1) + macaulay_corpus(2)
+        cases += [CAYLEY, MOVED_CAYLEY, FERMAT3, QUADRIC, CUBIC4, PERTURBED_FERMAT3, PENTAGON_QUADRIC]
+        cases += [fermat_quartic_plus(4, seed) for seed in (0, 2, 3)]
+        witnessed = []
+        for h in cases:
+            bare = bare_vertices(h)
+            if bare:
+                witnessed.append(h)
+                assert not is_smooth_projective(h)
+                assert all(singular_at(h, unit(h.context.nvars, k)) for k in bare)
+        assert CAYLEY in witnessed and MOVED_CAYLEY not in witnessed and len(witnessed) > 1
 
 
 #: P^3 with a parameter variable that no input uses
@@ -622,14 +674,10 @@ class TestMacaulayOracle:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_agrees_on_quadrics_and_cubics_in_p3(self, seed):
-        rng = random.Random(f"macaulay:{seed}")
         verdicts = []
-        for degree, count in ((2, 24), (3, 12)):
-            for _ in range(count):
-                h = rand_homogeneous(rng, P3, degree, max_terms=rng.randint(3, 12))
-                if h:
-                    verdicts.append(is_smooth_projective(h))
-                    assert verdicts[-1] == macaulay_smooth(h), str(h)
+        for h in macaulay_corpus(seed):
+            verdicts.append(is_smooth_projective(h))
+            assert verdicts[-1] == macaulay_smooth(h), str(h)
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
@@ -671,6 +719,7 @@ TWISTED = ideal_of(SMALL, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
 PINNED_STEPS = [
     pytest.param(lambda s: is_smooth_projective(FERMAT3, max_steps=s), 0, id="smooth-fermat-cubic"),
     pytest.param(lambda s: is_smooth_projective(CAYLEY, max_steps=s), 54, id="smooth-cayley-cubic"),
+    pytest.param(lambda s: is_smooth_projective(MOVED_CAYLEY, max_steps=s), 118, id="smooth-moved-cayley-cubic"),
     pytest.param(lambda s: is_smooth_projective(CUBIC4, max_steps=s), 68, id="smooth-p4-cubic"),
     pytest.param(lambda s: buchberger(jacobian_ideal(CUBIC4), max_steps=s), 128, id="gb-p4-gradient"),
     pytest.param(
@@ -684,7 +733,8 @@ PINNED_STEPS = [
 
 #: S-pairs each computation of PINNED_STEPS reduces, in the same order,
 #: recorded when the engine's S-pairs still went through ``s_polynomial``
-PINNED_S_PAIRS = [0, 15, 25, 45, 25, 11]
+#: (the moved Cayley cubic's 118 steps and 16 S-pairs were recorded later)
+PINNED_S_PAIRS = [0, 15, 16, 25, 45, 25, 11]
 
 #: (generators in P^3, exact number of budget steps, reduced basis) for
 #: generators that share a leading monomial: minimalisation keeps one element
@@ -973,6 +1023,29 @@ class TestVanishesOn:
         assert not vanishes_on(TWISTED_CUBIC_FIELD, TWISTED_CUBIC)
         # the curve basis, then the extension basis of the first minor, x0*x1
         assert [pk.nvars for pk, _ in runs] == [P3.nvars, P3.nvars + 1]
+
+    def test_builds_each_minor_when_it_tests_it(self, monkeypatch):
+        """The minors come one at a time, and the first one outside the
+        radical, x0*x1 of six, ends the check before the others are built."""
+        built = counting_polynomials(monkeypatch)
+        counts = [len(built)]
+        for _ in ideals._minors(TWISTED_CUBIC_FIELD):
+            counts.append(len(built))
+        assert len(counts) == 7 and all(a < b for a, b in zip(counts, counts[1:]))
+        first = zero_locus_ideal(TWISTED_CUBIC_FIELD).generators[0]
+        drawn = []
+        minors = ideals._minors
+        monkeypatch.setattr(ideals, "_minors", lambda D: (drawn.append(g) or g for g in minors(D)))
+        assert not vanishes_on(TWISTED_CUBIC_FIELD, TWISTED_CUBIC)
+        assert drawn == [first]
+
+    def test_symbolic_field_raises_before_any_groebner_work(self, monkeypatch):
+        runs = recording_groebner_runs(monkeypatch)
+        ctx = VarContext(P3.projective, ("c",))
+        D = Derivation.diagonal(ctx, [ctx.variable("c"), 0, 0, 0])
+        with pytest.raises(InputError, match="symbolic"):
+            vanishes_on(D, ideal_of(ctx, "x0*x2 - x1^2"))
+        assert not runs
 
 
 class TestIdealType:
