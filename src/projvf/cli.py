@@ -19,6 +19,8 @@ flushed its report.
 Each ``cmd_*`` handler takes the loaded problem (``None`` for subcommands
 without a file) and returns its JSON payload, its text report and its
 verdict; ``run`` alone loads the file, prints and picks the exit code.
+The handlers that need the paper layer import ``analysis`` or ``verify``
+themselves, so a toolkit subcommand such as ``smooth`` never loads them.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .analysis import (
-    ConeShapeError,
-    check_vanishing_on_curve,
-    cone_shape,
-    degree_case_table,
-    fano_genus,
-    stabilizer_algebra,
-)
 from .derivations import Derivation
 from .errors import InputError, ResourceLimitError, ToolError
 from .ideals import (
@@ -55,7 +49,6 @@ from .ideals import (
 from .linalg import RatMatrix, rational_eigen
 from .parser import parse_poly
 from .polyring import Polynomial, VarContext
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -170,6 +163,8 @@ def cmd_smooth(problem: ProblemFile, args):
 
 
 def cmd_stabilizer(problem: ProblemFile, args):
+    from .analysis import stabilizer_algebra
+
     sol = stabilizer_algebra(_require(problem.h, "h"))
     payload = {
         "dimension": sol.dimension,
@@ -207,6 +202,8 @@ def cmd_zeros(problem: ProblemFile, args):
 
 
 def cmd_vanishes(problem: ProblemFile, args):
+    from .analysis import check_vanishing_on_curve
+
     D = _require(problem.derivation, "D")
     ideal = _require(problem.ideal, "ideal")
     if problem.h is None:
@@ -228,6 +225,8 @@ def cmd_vanishes(problem: ProblemFile, args):
 
 
 def cmd_cone_shape(problem: ProblemFile, args):
+    from .analysis import ConeShapeError, cone_shape
+
     h = _require(problem.h, "h")
     try:
         shape = cone_shape(h)
@@ -259,6 +258,8 @@ def cmd_cone_shape(problem: ProblemFile, args):
 
 
 def cmd_cases(problem: None, args):
+    from .analysis import degree_case_table
+
     rows = degree_case_table()
     lines = ["cube  degree  divisor-index  fano-index  verdict"]
     for c in rows:
@@ -267,11 +268,15 @@ def cmd_cases(problem: None, args):
 
 
 def cmd_genus(problem: None, args):
+    from .analysis import fano_genus
+
     g = fano_genus(args.index, args.cube)
     return {"genus": g}, str(g), True
 
 
 def cmd_verify(problem: None, args):
+    from .verify import run_all
+
     results = run_all()
     lines = [f"{_verdict_word(r.ok)} {r.name}: {r.detail}" for r in results]
     passed = sum(1 for r in results if r.ok)

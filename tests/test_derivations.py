@@ -130,7 +130,10 @@ class TestApply:
 
 RELOAD_SCRIPT = """
 import gc, importlib, sys, weakref
-ref = weakref.ref(importlib.import_module("projvf.polyring").Polynomial)
+pv = importlib.import_module("projvf")
+ref = weakref.ref(pv.Polynomial)  # resolved on this read, then cached in the package namespace
+assert "Polynomial" in vars(pv)
+del pv
 for name in [n for n in sys.modules if n == "projvf" or n.startswith("projvf.")]:
     del sys.modules[name]
 importlib.import_module("projvf")
@@ -142,8 +145,9 @@ print("released" if ref() is None else "kept")
 def test_unloaded_package_is_released():
     """Nothing outside projvf keeps a reference into it: once its modules are
     dropped from sys.modules and it is imported again, the previous copy is
-    garbage. An evaluated typing.Union alias of projvf classes once kept it
-    alive through typing's cache."""
+    garbage, names the package cached on first read included. An evaluated
+    typing.Union alias of projvf classes once kept it alive through typing's
+    cache."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", RELOAD_SCRIPT], capture_output=True, text=True, env=env, timeout=120)
