@@ -33,8 +33,7 @@ _EXPORTS = {
     ),
     "parser": ("parse_poly", "tokenize"),
     "polyring": (
-        "Monomial", "Polynomial", "VarContext", "coefficient_of", "homogeneous_degree", "monomials_of_degree",
-        "order_key",
+        "Monomial", "Polynomial", "VarContext", "coefficient_of", "monomials_of_degree", "order_key",
     ),
 }
 

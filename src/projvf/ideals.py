@@ -55,12 +55,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .derivations import Derivation
 from .errors import DEFAULT_MAX_STEPS, InputError, _Budget
-from .polyring import (
-    Monomial,
-    Polynomial,
-    VarContext,
-    homogeneous_degree,
-)
+from .polyring import Monomial, Polynomial, VarContext
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,7 @@ class _Packing:
 
 def _degree(p: Polynomial) -> int:
     # the order is degree-first, so this is the leading monomial's degree
-    return max(map(sum, p._terms))
+    return max(map(sum, p._terms), default=0)
 
 
 def _add_scaled(terms: dict, addend, shift: int, q: int) -> list[int]:
@@ -328,10 +323,11 @@ def _check_hypersurface(h: Polynomial) -> int:
     parameters, nonzero and homogeneous of degree >= 1."""
     if not h.is_parameter_free():
         raise InputError("hypersurface equations must be free of parameter variables")
-    deg = homogeneous_degree(h)
-    if deg == "any" or deg is None or deg < 1:
+    # parameter-free, so a term's exponent sum is its degree
+    degrees = set(map(sum, h._terms))
+    if len(degrees) != 1 or 0 in degrees:
         raise InputError("hypersurface equations must be nonzero and homogeneous of degree >= 1")
-    return deg
+    return degrees.pop()
 
 
 def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
@@ -362,17 +358,24 @@ def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
     return GroebnerBasis(context=I.context, basis=tuple(_monic(terms, pk, I.context) for terms in reduced))
 
 
+def _basis_rows(G: GroebnerBasis, degree: int) -> tuple[_Packing, list[tuple]]:
+    """The rows of G's elements, in order, and their packing, which has room
+    for them and for a polynomial of the given degree to reduce."""
+    pk = _Packing(G.context.nvars, max([degree, *map(_degree, G.basis)]))
+    return pk, [_row(_primitive(pk.terms(g))) for g in G.basis]
+
+
 def normal_form(f: Polynomial, G: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> Polynomial:
     """Unique remainder of multivariate division by G; zero iff f lies in the ideal."""
     if f.context != G.context:
         raise InputError("polynomial and basis belong to different variable contexts")
     if not G.basis or not f:
         return f
-    pk = _Packing(f.context.nvars, max(map(_degree, (f, *G.basis))))
+    pk, rows = _basis_rows(G, _degree(f))
     prim = _primitive(pk.terms(f))
     # f = (lc(f) / lc(prim)) * prim and r = scale * NF(prim)
     k = f.leading_term()[1] / prim[max(prim)]
-    r, scale = _reduce(prim, [_row(_primitive(pk.terms(g))) for g in G.basis], _Budget(max_steps), pk)
+    r, scale = _reduce(prim, rows, _Budget(max_steps), pk)
     k /= scale
     return Polynomial._trusted(f.context, {pk.unpack(m): c * k for m, c in r.items()})
 
@@ -387,15 +390,14 @@ def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) 
     The generators and 1 - t*f enter the engine as rows packed with one more
     field, for t, than the context has variables, with room for twice the
     largest of their degrees. The run stops with True as soon as a constant
-    joins the basis; when the pair queue empties first, 1 is not in the
-    extended ideal and the result is False.
+    joins the basis (for f = 0 the extension row is that constant); when the
+    pair queue empties first, 1 is not in the extended ideal and the result
+    is False.
     """
     if f.context != I.context:
         raise InputError("polynomial and ideal belong to different variable contexts")
     _require_parameter_free(I.generators, "radical membership generators")
     _require_parameter_free([f], "radical membership query")
-    if not f:
-        return True
     pk = _Packing(f.context.nvars + 1, 2 * max([_degree(f) + 1, *map(_degree, I.generators)]))
     extension = {pk.pack(m + (1,)): -c for m, c in f._terms.items()}
     extension[pk.zero] = 1
@@ -493,16 +495,19 @@ def vanishes_on(
     Set-theoretic containment V(I) inside Z(D) by default (radical
     membership of every minor); ``scheme_theoretic=True`` demands plain ideal
     membership instead. A minor that reduces to 0 modulo GB(I) lies in I,
-    and so in its radical, without an extension basis. ``max_steps`` bounds
-    each Groebner computation and normal form on its own, not their sum.
+    and so in its radical, without an extension basis; the basis is packed
+    into rows once, and each minor is reduced against them. ``max_steps``
+    bounds each Groebner computation and reduction on its own, not their sum.
     """
     if D.context != I.context:
         raise InputError("derivation and ideal belong to different variable contexts")
     _require_parameter_free(I.generators, "vanishing-locus generators")
     minors = _minors(D)
     gb = buchberger(I, max_steps)
+    pk, rows = _basis_rows(gb, 2)  # every minor is a quadric
     reduced = Ideal(I.context, gb.basis)
     for g in minors:
-        if g and normal_form(g, gb, max_steps) and (scheme_theoretic or not radical_member(g, reduced, max_steps)):
-            return False
+        if g and (not rows or _reduce(_primitive(pk.terms(g)), rows, _Budget(max_steps), pk)[0]):
+            if scheme_theoretic or not radical_member(g, reduced, max_steps):
+                return False
     return True

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Iterable, Literal, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
@@ -94,9 +94,6 @@ class VarContext:
 
     def is_projective_monomial(self, m: Monomial) -> bool:
         return all(e == 0 for e in m[self.nproj :])
-
-    def projective_degree(self, m: Monomial) -> int:
-        return sum(m[: self.nproj])
 
     def constant(self, value) -> "Polynomial":
         c = value if isinstance(value, Fraction) else Fraction(value)
@@ -334,21 +331,6 @@ def coefficient_of(p: Polynomial, m: Monomial) -> Polynomial:
         if mm[:nproj] == target:
             terms[unit + mm[nproj:]] = c
     return Polynomial(ctx, terms)
-
-
-def homogeneous_degree(p: Polynomial) -> Union[int, Literal["any"], None]:
-    """Common projective degree of all terms.
-
-    Returns the degree when homogeneous, ``None`` when not, and ``"any"`` for
-    the zero polynomial (homogeneous of every degree). Parameters count as
-    degree zero.
-    """
-    if not p:
-        return "any"
-    degrees = {p.context.projective_degree(m) for m in p._terms}
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
 
 
 def monomials_of_degree(ctx: VarContext, degree: int) -> list[Monomial]:

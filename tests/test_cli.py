@@ -227,6 +227,16 @@ class TestInputErrors:
         assert run(["gb", "--max-steps", "3", problem(doc)]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_readme_budget_example(self, capsys):
+        """The largest of the verdict's computations takes 13 steps."""
+        path = os.path.join(BENCH_DIR, "problems", "conjugated.json")
+        assert run(["vanishes", path, "--max-steps", "12"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: computation exceeded the configured step budget\n"
+        assert run(["vanishes", path, "--max-steps", "13"]) == 0
+        assert capsys.readouterr().out == "stabilizes: True (scaling 0)\nsmooth: True\nvanishes on curve: True\n"
+
 
 class TestLoadProblem:
     def test_first_bad_derivation_entry_in_row_major_order(self, problem, capsys):
@@ -445,11 +455,15 @@ PINNED_ERRORS = [
     pytest.param(
         ["genus", "0", "5"], None, "error: the index and the generator cube must be at least 1\n", id="genus-index-zero"
     ),
-    pytest.param(
-        ["smooth"],
-        {"vars": ["x0", "x1"], "h": "x0 + x1^2"},
-        "error: hypersurface equations must be nonzero and homogeneous of degree >= 1\n",
-        id="smooth-inhomogeneous",
+    *(
+        pytest.param(
+            [command],
+            {"vars": ["x0", "x1"], "h": h, "D": [["1", "0"], ["0", "2"]], "ideal": ["x0"]},
+            "error: hypersurface equations must be nonzero and homogeneous of degree >= 1\n",
+            id=f"{command}-{kind}",
+        )
+        for command in ["smooth", "stabilizer", "cone-shape", "vanishes"]
+        for kind, h in [("inhomogeneous", "x0 + x1^2"), ("zero", "0"), ("constant", "3")]
     ),
     pytest.param(
         ["smooth"],

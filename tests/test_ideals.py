@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from exact import inverse, linear_substitute, pdiff, peval, unit
@@ -15,7 +16,6 @@ from projvf import (
     ResourceLimitError,
     VarContext,
     buchberger,
-    homogeneous_degree,
     ideal_member,
     is_smooth_projective,
     monomials_of_degree,
@@ -29,6 +29,7 @@ from projvf import (
     zero_locus_ideal,
 )
 from projvf import ideals
+from projvf.cli import load_problem
 from projvf.polyring import _vertex_monomials
 from projvf.verify import P3, P4, QUADRIC, QUADRIC_CURVE as CURVE, QUADRIC_FIELD as FIELD
 from support import (
@@ -488,7 +489,7 @@ def fermat_quartic_plus(k, seed):
 def bare_vertices(h):
     """The k for which none of h's vertex monomials at e_k occurs in h: h(e_k)
     and every dh/dx_j(e_k) are coefficients of those monomials."""
-    ctx, d = h.context, homogeneous_degree(h)
+    ctx, d = h.context, ideals._check_hypersurface(h)
     return [k for k in range(ctx.nproj) if not any(h.coefficient(m) for m in _vertex_monomials(ctx, k, d))]
 
 
@@ -685,7 +686,7 @@ class TestPackedGradient:
     @given(homogeneous_inputs())
     @settings(max_examples=200, deadline=None)
     def test_rows_equal_the_reference_partials(self, h):
-        pk, rows = ideals._gradient_rows(h, homogeneous_degree(h))
+        pk, rows = ideals._gradient_rows(h, ideals._check_hypersurface(h))
         reference = [ideals._row(ideals._primitive(pk.terms(p))) for p in gradient(h) if p]
         assert rows == reference
 
@@ -695,7 +696,7 @@ class TestPackedGradient:
         # d h = sum x_i dh/dx_i: h lies in the ideal of its partials
         ctx = h.context
         euler = sum((ctx.variable(v) * p for v, p in zip(ctx.projective, gradient(h))), ctx.zero())
-        assert euler == homogeneous_degree(h) * h
+        assert euler == ideals._check_hypersurface(h) * h
 
     def test_builds_no_polynomial(self, monkeypatch):
         built = counting_polynomials(monkeypatch)
@@ -705,6 +706,12 @@ class TestPackedGradient:
 
 CUBIC4 = parse_poly("x0^3 + 2*x1^3 - x2^2*x3 + x3^3 + x4^3 - x0*x1*x4 + 3*x2*x3*x4", P4)
 TWISTED = ideal_of(SMALL, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
+TWISTED_CUBIC = ideal_of(P3, "x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
+#: a torus field that moves the points of the twisted cubic along it
+TWISTED_CUBIC_FIELD = Derivation.diagonal(P3, (3, 1, -1, -3))
+FAT_CURVE = ideal_of(P4, "x0^2", "x3^2", "x4^2")
+#: the field and curve of the README's budget example
+CONJUGATED = load_problem(str(Path(__file__).resolve().parent.parent / "bench" / "problems" / "conjugated.json"))
 
 #: (computation under a step budget, exact number of budget steps it takes),
 #: recorded before reduction moved onto a mutable term dict: the engine may
@@ -716,6 +723,9 @@ TWISTED = ideal_of(SMALL, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
 #: radical pin likewise counts the steps up to the verdict: to the constant
 #: that joins the basis of I + (1 - t*f) when f is in the radical, to the
 #: last S-pair when it is not, with no minimalisation or inter-reduction.
+#: A vanishing pin counts the steps of its largest computation, because the
+#: budget bounds the curve basis, each minor's reduction against it and each
+#: radical test on its own.
 PINNED_STEPS = [
     pytest.param(lambda s: is_smooth_projective(FERMAT3, max_steps=s), 0, id="smooth-fermat-cubic"),
     pytest.param(lambda s: is_smooth_projective(CAYLEY, max_steps=s), 54, id="smooth-cayley-cubic"),
@@ -728,13 +738,28 @@ PINNED_STEPS = [
     pytest.param(
         lambda s: radical_member(parse_poly("x0 - x1", SMALL), TWISTED, max_steps=s), 36, id="radical-twisted"
     ),
+    pytest.param(lambda s: vanishes_on(FIELD, CURVE, max_steps=s), 5, id="vanishes-quadric"),
+    pytest.param(
+        lambda s: vanishes_on(FIELD, CURVE, scheme_theoretic=True, max_steps=s), 5, id="vanishes-quadric-scheme"
+    ),
+    pytest.param(
+        lambda s: vanishes_on(TWISTED_CUBIC_FIELD, TWISTED_CUBIC, max_steps=s), 12, id="vanishes-twisted-cubic"
+    ),
+    pytest.param(lambda s: vanishes_on(FIELD, FAT_CURVE, max_steps=s), 3, id="vanishes-fat"),
+    pytest.param(
+        lambda s: vanishes_on(FIELD, FAT_CURVE, scheme_theoretic=True, max_steps=s), 3, id="vanishes-fat-scheme"
+    ),
+    pytest.param(
+        lambda s: vanishes_on(CONJUGATED.derivation, CONJUGATED.ideal, max_steps=s), 13, id="vanishes-conjugated"
+    ),
 ]
 
 
 #: S-pairs each computation of PINNED_STEPS reduces, in the same order,
 #: recorded when the engine's S-pairs still went through ``s_polynomial``
-#: (the moved Cayley cubic's 118 steps and 16 S-pairs were recorded later)
-PINNED_S_PAIRS = [0, 15, 16, 25, 45, 25, 11]
+#: (the moved Cayley cubic's 118 steps and 16 S-pairs, and the vanishing
+#: pins, were recorded later)
+PINNED_S_PAIRS = [0, 15, 16, 25, 45, 25, 11, 0, 0, 10, 21, 0, 1]
 
 #: (generators in P^3, exact number of budget steps, reduced basis) for
 #: generators that share a leading monomial: minimalisation keeps one element
@@ -791,6 +816,10 @@ class TestStepSequence:
         assert len(buchberger(jacobian_ideal(CUBIC4)).basis) == 16
         assert radical_member(P4.variable("x3"), jacobian_ideal(CUBIC4))
         assert not radical_member(parse_poly("x0 - x1", SMALL), TWISTED)
+        assert vanishes_on(FIELD, CURVE) and vanishes_on(FIELD, CURVE, scheme_theoretic=True)
+        assert not vanishes_on(TWISTED_CUBIC_FIELD, TWISTED_CUBIC)
+        assert vanishes_on(FIELD, FAT_CURVE) and not vanishes_on(FIELD, FAT_CURVE, scheme_theoretic=True)
+        assert vanishes_on(CONJUGATED.derivation, CONJUGATED.ideal)
 
 
 def packing_and_exponents(data, nvars_max=6):
@@ -987,11 +1016,6 @@ class TestZeroLocus:
             assert on_locus == on_eigenspace(point)
 
 
-TWISTED_CUBIC = ideal_of(P3, "x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
-#: a torus field that moves the points of the twisted cubic along it
-TWISTED_CUBIC_FIELD = Derivation.diagonal(P3, (3, 1, -1, -3))
-
-
 class TestVanishesOn:
     def test_quadric_fixture(self):
         assert vanishes_on(FIELD, CURVE)
@@ -1009,14 +1033,26 @@ class TestVanishesOn:
         assert evaluate(minor, witness) != 0
 
     def test_scheme_theoretic_is_stricter(self):
-        fat = ideal_of(P4, "x0^2", "x3^2", "x4^2")
-        assert vanishes_on(FIELD, fat)
-        assert not vanishes_on(FIELD, fat, scheme_theoretic=True)
+        assert vanishes_on(FIELD, FAT_CURVE)
+        assert not vanishes_on(FIELD, FAT_CURVE, scheme_theoretic=True)
 
     def test_minors_in_the_ideal_build_no_extension_basis(self, monkeypatch):
         runs = recording_groebner_runs(monkeypatch)
         assert vanishes_on(FIELD, CURVE)
         assert [pk.nvars for pk, _ in runs] == [P4.nvars]  # the curve basis only
+
+    def test_packs_the_curve_basis_once(self, monkeypatch):
+        packings = []
+
+        class Counted(ideals._Packing):
+            def __init__(self, nvars, room):
+                super().__init__(nvars, room)
+                packings.append(nvars)
+
+        monkeypatch.setattr(ideals, "_Packing", Counted)
+        assert vanishes_on(FIELD, CURVE)
+        # the curve's Groebner run and the rows of its basis, none per minor
+        assert packings == [P4.nvars, P4.nvars]
 
     def test_a_minor_outside_the_ideal_builds_an_extension_basis(self, monkeypatch):
         runs = recording_groebner_runs(monkeypatch)

@@ -11,11 +11,11 @@ from projvf import (
     Polynomial,
     VarContext,
     coefficient_of,
-    homogeneous_degree,
     monomials_of_degree,
     order_key,
     parse_poly,
 )
+from projvf.ideals import _check_hypersurface
 from projvf.polyring import _vertex_monomials
 from projvf.verify import P3, P4, QUADRIC
 from support import (
@@ -208,18 +208,33 @@ class TestCoefficientOf:
         assert total == p
 
 
+NOT_HOMOGENEOUS = "hypersurface equations must be nonzero and homogeneous of degree >= 1"
+
+
 class TestHomogeneity:
-    def test_quadric(self):
-        assert homogeneous_degree(QUADRIC) == 2
-
-    def test_inhomogeneous(self):
-        assert homogeneous_degree(parse_poly("x0 + x1^2", P4)) is None
-
-    def test_zero_polynomial(self):
-        assert homogeneous_degree(P4.zero()) == "any"
-
-    def test_parameters_are_degree_zero(self):
-        assert homogeneous_degree(parse_poly("c*x3^2*x4 + x0^3", P4C)) == 3
+    @pytest.mark.parametrize(
+        "h, outcome",
+        [
+            pytest.param(QUADRIC, 2, id="quadric"),
+            pytest.param(parse_poly("x0^3 + 2*x1*x2*x4 - x3^2*x4", P4), 3, id="cubic"),
+            pytest.param(parse_poly("x0 + x1^2", P4), NOT_HOMOGENEOUS, id="inhomogeneous"),
+            pytest.param(P4.zero(), NOT_HOMOGENEOUS, id="zero"),
+            pytest.param(P4.constant(3), NOT_HOMOGENEOUS, id="constant"),
+            pytest.param(
+                parse_poly("c*x3^2*x4 + x0^3", P4C),
+                "hypersurface equations must be free of parameter variables",
+                id="parametric",
+            ),
+        ],
+    )
+    def test_check_hypersurface(self, h, outcome):
+        """The degree of a hypersurface equation, or the error that rejects it."""
+        if isinstance(outcome, int):
+            assert _check_hypersurface(h) == outcome
+        else:
+            with pytest.raises(InputError) as error:
+                _check_hypersurface(h)
+            assert str(error.value) == outcome
 
 
 class TestEvaluate:
