@@ -10,7 +10,8 @@ Radical membership is the ring-extension test: f lies in the radical of I
 exactly when 1 lies in I + (1 - t*f). The extension variable t exists only
 as one more packed field after all the context's variables, so it has no
 name to clash with, and the Buchberger run stops as soon as a constant joins
-the basis.
+the basis. A vanishing verdict packs the curve's basis once, with t's field,
+and runs every minor's membership and radical test on those same rows.
 Smoothness does not use radical membership: one Buchberger run on the
 partials of h alone (h lies in their ideal by Euler's relation), taken on
 packed rows without building a polynomial, decides it, stopped as soon as
@@ -129,7 +130,12 @@ class _Packing:
         return tuple(exps)
 
     def terms(self, p: Polynomial) -> dict:
-        return {self.pack(m): c for m, c in p._terms.items()}
+        """p's packed term dict; fields past p's variables (t's) hold 0."""
+        pad = (0,) * (self.nvars - p.context.nvars)
+        return {self.pack(m + pad): c for m, c in p._terms.items()}
+
+    def rows(self, polys: Iterable[Polynomial]) -> list[tuple]:
+        return [_row(_primitive(self.terms(p))) for p in polys]
 
 
 def _degree(p: Polynomial) -> int:
@@ -176,10 +182,9 @@ def _row(terms: dict) -> tuple:
     return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
 
 
-def _monic(terms: dict, packing: _Packing, context: VarContext) -> Polynomial:
-    """The packed integer term dict divided by its leading coefficient, over Q."""
-    lc = terms[max(terms)]
-    return Polynomial._trusted(context, {packing.unpack(m): Fraction(c, lc) for m, c in terms.items()})
+def _polynomial(terms: dict, packing: _Packing, context: VarContext, k: Fraction) -> Polynomial:
+    """k times the packed integer term dict, over Q."""
+    return Polynomial._trusted(context, {packing.unpack(m): c * k for m, c in terms.items()})
 
 
 def _s_pair(first: tuple, second: tuple, lcm: int) -> dict:
@@ -335,7 +340,7 @@ def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
     _require_parameter_free(I.generators, "Groebner basis generators")
     budget = _Budget(max_steps)
     pk = _Packing(I.context.nvars, 2 * max(map(_degree, I.generators), default=0))
-    pk, rows = _groebner(pk, [_row(_primitive(pk.terms(g))) for g in I.generators], budget, lambda lead: False)
+    pk, rows = _groebner(pk, pk.rows(I.generators), budget, lambda lead: False)
 
     # minimalise: keep an element unless the leading monomial of one kept
     # before divides its own; a divisor is never larger than what it divides,
@@ -355,14 +360,7 @@ def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
         others = [rows[k] for k in minimal if k != i]
         reduced.append(_reduce(terms, others, budget, pk)[0] if others else terms)
     reduced.sort(key=max, reverse=True)
-    return GroebnerBasis(context=I.context, basis=tuple(_monic(terms, pk, I.context) for terms in reduced))
-
-
-def _basis_rows(G: GroebnerBasis, degree: int) -> tuple[_Packing, list[tuple]]:
-    """The rows of G's elements, in order, and their packing, which has room
-    for them and for a polynomial of the given degree to reduce."""
-    pk = _Packing(G.context.nvars, max([degree, *map(_degree, G.basis)]))
-    return pk, [_row(_primitive(pk.terms(g))) for g in G.basis]
+    return GroebnerBasis(I.context, tuple(_polynomial(t, pk, I.context, Fraction(1, t[max(t)])) for t in reduced))
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> Polynomial:
@@ -371,38 +369,37 @@ def normal_form(f: Polynomial, G: GroebnerBasis, max_steps: int = DEFAULT_MAX_ST
         raise InputError("polynomial and basis belong to different variable contexts")
     if not G.basis or not f:
         return f
-    pk, rows = _basis_rows(G, _degree(f))
+    pk = _Packing(G.context.nvars, max([_degree(f), *map(_degree, G.basis)]))
     prim = _primitive(pk.terms(f))
     # f = (lc(f) / lc(prim)) * prim and r = scale * NF(prim)
     k = f.leading_term()[1] / prim[max(prim)]
-    r, scale = _reduce(prim, rows, _Budget(max_steps), pk)
-    k /= scale
-    return Polynomial._trusted(f.context, {pk.unpack(m): c * k for m, c in r.items()})
+    r, scale = _reduce(prim, pk.rows(G.basis), _Budget(max_steps), pk)
+    return _polynomial(r, pk, f.context, k / scale)
 
 
 def ideal_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
     return not normal_form(f, buchberger(I, max_steps), max_steps)
 
 
-def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """Decide f in sqrt(I) by the ring-extension test: 1 in I + (1 - t*f).
+def _in_radical(pk: _Packing, rows: list[tuple], f: Polynomial, budget: _Budget) -> bool:
+    """Whether 1 lies in the ideal of the rows and 1 - t*f, t being the last
+    field of pk, which must have room for twice their largest degree. The run
+    stops with True as soon as a constant joins the basis (for f = 0 the
+    extension row is that constant), and is False when the pair queue empties
+    first. The engine takes over a copy of the rows, so they serve many f."""
+    extension = {pk.pack(m + (1,)): -c for m, c in f._terms.items()}
+    extension[pk.zero] = 1
+    return _groebner(pk, [*rows, _row(_primitive(extension))], budget, lambda lead: not any(lead)) is None
 
-    The generators and 1 - t*f enter the engine as rows packed with one more
-    field, for t, than the context has variables, with room for twice the
-    largest of their degrees. The run stops with True as soon as a constant
-    joins the basis (for f = 0 the extension row is that constant); when the
-    pair queue empties first, 1 is not in the extended ideal and the result
-    is False.
-    """
+
+def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
+    """Decide f in sqrt(I) by the ring-extension test: 1 in I + (1 - t*f)."""
     if f.context != I.context:
         raise InputError("polynomial and ideal belong to different variable contexts")
     _require_parameter_free(I.generators, "radical membership generators")
     _require_parameter_free([f], "radical membership query")
     pk = _Packing(f.context.nvars + 1, 2 * max([_degree(f) + 1, *map(_degree, I.generators)]))
-    extension = {pk.pack(m + (1,)): -c for m, c in f._terms.items()}
-    extension[pk.zero] = 1
-    terms = [{pk.pack(m + (0,)): c for m, c in g._terms.items()} for g in I.generators] + [extension]
-    return _groebner(pk, [_row(_primitive(t)) for t in terms], _Budget(max_steps), lambda lead: not any(lead)) is None
+    return _in_radical(pk, pk.rows(I.generators), f, _Budget(max_steps))
 
 
 def _gradient_rows(h: Polynomial, d: int) -> tuple[_Packing, list[tuple]]:
@@ -494,20 +491,20 @@ def vanishes_on(
 
     Set-theoretic containment V(I) inside Z(D) by default (radical
     membership of every minor); ``scheme_theoretic=True`` demands plain ideal
-    membership instead. A minor that reduces to 0 modulo GB(I) lies in I,
-    and so in its radical, without an extension basis; the basis is packed
-    into rows once, and each minor is reduced against them. ``max_steps``
-    bounds each Groebner computation and reduction on its own, not their sum.
+    membership instead. GB(I) is packed into rows once, with t's field, and
+    each minor is reduced against them: one that reduces to 0 lies in I, and
+    so in its radical; any other takes the extension test on the same rows.
+    ``max_steps`` bounds each Groebner run and reduction alone, not their sum.
     """
     if D.context != I.context:
         raise InputError("derivation and ideal belong to different variable contexts")
     _require_parameter_free(I.generators, "vanishing-locus generators")
     minors = _minors(D)
     gb = buchberger(I, max_steps)
-    pk, rows = _basis_rows(gb, 2)  # every minor is a quadric
-    reduced = Ideal(I.context, gb.basis)
+    pk = _Packing(I.context.nvars + 1, 2 * max([3, *map(_degree, gb.basis)]))  # 1 - t*g has degree 3
+    rows = pk.rows(gb.basis)
     for g in minors:
         if g and (not rows or _reduce(_primitive(pk.terms(g)), rows, _Budget(max_steps), pk)[0]):
-            if scheme_theoretic or not radical_member(g, reduced, max_steps):
+            if scheme_theoretic or not _in_radical(pk, rows, g, _Budget(max_steps)):
                 return False
     return True

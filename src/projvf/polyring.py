@@ -222,14 +222,9 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = other if isinstance(other, Fraction) else Fraction(other)
-            if not c:
-                return self.context.zero()
-            return Polynomial._trusted(self.context, {m: v * c for m, v in self._terms.items()})
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check_context(other)
         acc: dict[Monomial, Fraction] = {}
         get = acc.get
         for m1, c1 in self._terms.items():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from projvf import Polynomial, cli, verify
+from projvf import Derivation, Polynomial, cli, verify
 from projvf.cli import run
 from projvf.parser import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_TERMS
 
@@ -276,6 +276,13 @@ class TestVerifySuite:
         doc = json.loads(capsys.readouterr().out)
         assert all(check["ok"] for check in doc["checks"])
         assert len(doc["checks"]) == 13
+
+    def test_line_pair_check_fails_on_another_locus(self, monkeypatch):
+        """The check compares the minors' basis with a literal one, so a field
+        whose zero locus is a point and a plane fails it."""
+        monkeypatch.setattr(verify, "LINE_FIELD", Derivation.diagonal(verify.P3, (0, 1, 1, 1)))
+        check = dict(verify.CHECKS)["line-pair-zero-locus"]
+        assert check() == (False, "minor ideal differs from the two-line ideal")
 
     @staticmethod
     def two_checks(monkeypatch):

@@ -1041,7 +1041,16 @@ class TestVanishesOn:
         assert vanishes_on(FIELD, CURVE)
         assert [pk.nvars for pk, _ in runs] == [P4.nvars]  # the curve basis only
 
-    def test_packs_the_curve_basis_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "field, curve, scheme_theoretic, verdict",
+        [
+            pytest.param(FIELD, CURVE, False, True, id="quadric"),
+            pytest.param(TWISTED_CUBIC_FIELD, TWISTED_CUBIC, False, False, id="twisted-cubic"),
+            pytest.param(FIELD, FAT_CURVE, False, True, id="fat"),
+            pytest.param(FIELD, FAT_CURVE, True, False, id="fat-scheme"),
+        ],
+    )
+    def test_packs_the_curve_basis_once(self, monkeypatch, field, curve, scheme_theoretic, verdict):
         packings = []
 
         class Counted(ideals._Packing):
@@ -1050,9 +1059,28 @@ class TestVanishesOn:
                 packings.append(nvars)
 
         monkeypatch.setattr(ideals, "_Packing", Counted)
-        assert vanishes_on(FIELD, CURVE)
-        # the curve's Groebner run and the rows of its basis, none per minor
-        assert packings == [P4.nvars, P4.nvars]
+        assert vanishes_on(field, curve, scheme_theoretic=scheme_theoretic) is verdict
+        # the curve's Groebner run, then the rows of its basis with t's field,
+        # which every minor and every extension test share
+        nvars = curve.context.nvars
+        assert packings == [nvars, nvars + 1]
+
+    def test_extension_tests_share_the_basis_rows(self, monkeypatch):
+        runs = recording_groebner_runs(monkeypatch)
+        assert vanishes_on(FIELD, FAT_CURVE)
+        (_, curve_rows), *extensions = runs
+        # none of the seven nonzero minors x_i*x_j lies in (x0^2, x3^2, x4^2)
+        assert len(extensions) == 7
+        pk, rows = extensions[0]
+        basis = rows[:-1]
+        assert pk.nvars == P4.nvars + 1 and len(basis) == len(curve_rows) == 3
+        for run_pk, run_rows in extensions:
+            assert run_pk is pk
+            assert len(run_rows) == len(basis) + 1
+            assert all(a is b for a, b in zip(run_rows, basis))
+            # the one extension row, 1 - t*g, leads with t times g's lead
+            assert pk.unpack(run_rows[-1][0])[-1] == 1
+        assert len({run_rows[-1][0] for _, run_rows in extensions}) == 7
 
     def test_a_minor_outside_the_ideal_builds_an_extension_basis(self, monkeypatch):
         runs = recording_groebner_runs(monkeypatch)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact import pmul
 from hypothesis import given, settings, strategies as st
 
 from projvf import (
@@ -92,6 +93,24 @@ class TestArithmetic:
     def test_context_mismatch(self):
         with pytest.raises(InputError):
             SMALL.variable("x0") + P4.variable("x0")
+
+    @pytest.mark.parametrize("c", [3, -2, 0, Fraction(-3, 7), True], ids=str)
+    def test_scalar_products(self, c):
+        """A scalar on either side scales every coefficient, as the product
+        with the constant polynomial c does in the benchmark's dict arithmetic."""
+        rng = random.Random(11)
+        unit = SMALL.unit_monomial()
+        for _ in range(20):
+            p = rand_poly(rng, SMALL)
+            expected = Polynomial(SMALL, pmul(p._terms, {unit: c}))
+            assert p * c == expected and c * p == expected
+            assert c or p * c == SMALL.zero()
+
+    def test_product_with_a_foreign_type_or_context(self):
+        with pytest.raises(TypeError):
+            SMALL.variable("x0") * "x"
+        with pytest.raises(InputError, match="^polynomials belong to different variable contexts$"):
+            SMALL.variable("x0") * P4.variable("x0")
 
     def test_pow(self):
         x0 = SMALL.variable("x0")
