@@ -10,8 +10,8 @@ Radical membership is the ring-extension test: f lies in the radical of I
 exactly when 1 lies in I + (1 - t*f). The extension variable t exists only
 as one more packed field after all the context's variables, so it has no
 name to clash with, and the Buchberger run stops as soon as a constant joins
-the basis. A vanishing verdict packs the curve's basis once, with t's field,
-and runs every minor's membership and radical test on those same rows.
+the basis. A vanishing verdict computes the curve's basis once, as rows with
+t's field, and each extension run on those rows pairs only its new row.
 Smoothness does not use radical membership: one Buchberger run on the
 partials of h alone (h lies in their ideal by Euler's relation), taken on
 packed rows without building a polynomial, decides it, stopped as soon as
@@ -248,6 +248,7 @@ def _groebner(
     rows: list[tuple],
     budget: _Budget,
     stop: Callable[[Monomial], bool],
+    done: int,
 ) -> tuple[_Packing, list[tuple]] | None:
     """Buchberger's algorithm on the rows, stopped early by ``stop``.
 
@@ -259,7 +260,8 @@ def _groebner(
     the basis (the rows' first): the result is None as soon as it returns
     True, and otherwise, when the pair queue empties, the final packing and
     the rows of a Groebner basis, the input rows first, neither minimalised
-    nor inter-reduced.
+    nor inter-reduced. Pairs of the first ``done`` rows, already a Groebner
+    basis, are never queued, and the chain criterion counts them as treated.
     """
     leads = [pk.unpack(lm) for lm, _, _ in rows]
     if any(map(stop, leads)):
@@ -272,7 +274,7 @@ def _groebner(
         heapq.heappush(heap, (pk.pack(tuple(map(max, leads[i], leads[j]))), i, j))
         pending.add((i, j))
 
-    for j in range(len(rows)):
+    for j in range(done, len(rows)):
         for i in range(j):
             push(i, j)
 
@@ -335,12 +337,10 @@ def _check_hypersurface(h: Polynomial) -> int:
     return degrees.pop()
 
 
-def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
-    """The unique reduced Groebner basis of I for the global order."""
-    _require_parameter_free(I.generators, "Groebner basis generators")
-    budget = _Budget(max_steps)
-    pk = _Packing(I.context.nvars, 2 * max(map(_degree, I.generators), default=0))
-    pk, rows = _groebner(pk, pk.rows(I.generators), budget, lambda lead: False)
+def _reduced_basis(pk: _Packing, rows: list[tuple], budget: _Budget) -> tuple[_Packing, list[tuple]]:
+    """The reduced Groebner basis of the rows, which the engine takes over, as
+    primitive rows in descending leading-monomial order, and its packing."""
+    pk, rows = _groebner(pk, rows, budget, lambda lead: False, 0)
 
     # minimalise: keep an element unless the leading monomial of one kept
     # before divides its own; a divisor is never larger than what it divides,
@@ -352,15 +352,23 @@ def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
     minimal.sort()
 
     # inter-reduce tails for the unique reduced basis
-    reduced: list[dict] = []
+    reduced: list[tuple] = []
     for i in minimal:
         lm, lc, tail = rows[i]
-        terms = dict(tail)
-        terms[lm] = lc
+        terms = {lm: lc, **dict(tail)}
         others = [rows[k] for k in minimal if k != i]
-        reduced.append(_reduce(terms, others, budget, pk)[0] if others else terms)
-    reduced.sort(key=max, reverse=True)
-    return GroebnerBasis(I.context, tuple(_polynomial(t, pk, I.context, Fraction(1, t[max(t)])) for t in reduced))
+        reduced.append(_row(_primitive(_reduce(terms, others, budget, pk)[0] if others else terms)))
+    reduced.sort(reverse=True)  # by leading monomial, as these are distinct
+    return pk, reduced
+
+
+def buchberger(I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
+    """The unique reduced Groebner basis of I for the global order."""
+    _require_parameter_free(I.generators, "Groebner basis generators")
+    pk = _Packing(I.context.nvars, 2 * max(map(_degree, I.generators), default=0))
+    pk, rows = _reduced_basis(pk, pk.rows(I.generators), _Budget(max_steps))
+    basis = (_polynomial({lm: lc, **dict(tail)}, pk, I.context, Fraction(1, lc)) for lm, lc, tail in rows)
+    return GroebnerBasis(I.context, tuple(basis))
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> Polynomial:
@@ -381,15 +389,15 @@ def ideal_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) ->
     return not normal_form(f, buchberger(I, max_steps), max_steps)
 
 
-def _in_radical(pk: _Packing, rows: list[tuple], f: Polynomial, budget: _Budget) -> bool:
+def _in_radical(pk: _Packing, rows: list[tuple], done: int, f: Polynomial, budget: _Budget) -> bool:
     """Whether 1 lies in the ideal of the rows and 1 - t*f, t being the last
-    field of pk, which must have room for twice their largest degree. The run
-    stops with True as soon as a constant joins the basis (for f = 0 the
-    extension row is that constant), and is False when the pair queue empties
-    first. The engine takes over a copy of the rows, so they serve many f."""
+    field of pk (room for twice their largest degree), the first ``done`` rows
+    a Groebner basis. True as soon as a constant joins the basis (for f = 0 the
+    extension row is that constant), False when the pair queue empties first.
+    The engine takes over a copy of the rows, so they serve many f."""
     extension = {pk.pack(m + (1,)): -c for m, c in f._terms.items()}
     extension[pk.zero] = 1
-    return _groebner(pk, [*rows, _row(_primitive(extension))], budget, lambda lead: not any(lead)) is None
+    return _groebner(pk, [*rows, _row(_primitive(extension))], budget, lambda lead: not any(lead), done) is None
 
 
 def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
@@ -399,7 +407,7 @@ def radical_member(f: Polynomial, I: Ideal, max_steps: int = DEFAULT_MAX_STEPS) 
     _require_parameter_free(I.generators, "radical membership generators")
     _require_parameter_free([f], "radical membership query")
     pk = _Packing(f.context.nvars + 1, 2 * max([_degree(f) + 1, *map(_degree, I.generators)]))
-    return _in_radical(pk, pk.rows(I.generators), f, _Budget(max_steps))
+    return _in_radical(pk, pk.rows(I.generators), 0, f, _Budget(max_steps))
 
 
 def _gradient_rows(h: Polynomial, d: int) -> tuple[_Packing, list[tuple]]:
@@ -454,7 +462,7 @@ def is_smooth_projective(h: Polynomial, max_steps: int = DEFAULT_MAX_STEPS) -> b
         uncovered.difference_update([i for i in uncovered if lead[i] == e])
         return not uncovered
 
-    return _groebner(*_gradient_rows(h, d), _Budget(max_steps), covers_all) is None
+    return _groebner(*_gradient_rows(h, d), _Budget(max_steps), covers_all, 0) is None
 
 
 def _minors(D: Derivation) -> Iterator[Polynomial]:
@@ -491,20 +499,19 @@ def vanishes_on(
 
     Set-theoretic containment V(I) inside Z(D) by default (radical
     membership of every minor); ``scheme_theoretic=True`` demands plain ideal
-    membership instead. GB(I) is packed into rows once, with t's field, and
+    membership instead. GB(I) is computed once, as rows with t's field, and
     each minor is reduced against them: one that reduces to 0 lies in I, and
-    so in its radical; any other takes the extension test on the same rows.
+    so in its radical; any other's extension test pairs only 1 - t*g's row.
     ``max_steps`` bounds each Groebner run and reduction alone, not their sum.
     """
     if D.context != I.context:
         raise InputError("derivation and ideal belong to different variable contexts")
     _require_parameter_free(I.generators, "vanishing-locus generators")
     minors = _minors(D)
-    gb = buchberger(I, max_steps)
-    pk = _Packing(I.context.nvars + 1, 2 * max([3, *map(_degree, gb.basis)]))  # 1 - t*g has degree 3
-    rows = pk.rows(gb.basis)
+    pk = _Packing(I.context.nvars + 1, 2 * max([3, *map(_degree, I.generators)]))  # 1 - t*g has degree 3
+    pk, rows = _reduced_basis(pk, pk.rows(I.generators), _Budget(max_steps))
     for g in minors:
         if g and (not rows or _reduce(_primitive(pk.terms(g)), rows, _Budget(max_steps), pk)[0]):
-            if scheme_theoretic or not _in_radical(pk, rows, g, _Budget(max_steps)):
+            if scheme_theoretic or not _in_radical(pk, rows, len(rows), g, _Budget(max_steps)):
                 return False
     return True

@@ -427,6 +427,34 @@ class TestRadicalMembership:
         if ideal_member(f, ideal):
             assert radical_member(f, ideal)
 
+    def test_a_completed_prefix_changes_no_answer(self, monkeypatch):
+        """The extension test on the rows of GB(I), passed as a completed
+        prefix, gives the answer of radical_member, which pairs the raw
+        generators from scratch, and forms no S-pair of two prefix rows."""
+        rng = random.Random(3107)
+        seeded = []
+        for _ in range(12):
+            gens = [rand_homogeneous(rng, P3, rng.randint(1, 2), max_terms=3) for _ in range(rng.randint(2, 3))]
+            if all(gens):
+                f = rand_homogeneous(rng, P3, 1, max_terms=2) ** rng.randint(1, 2)
+                seeded.append((f, Ideal(P3, tuple(gens))))
+        corpus = radical_corpus() + [(f, ideal) for f, ideal in seeded if f]
+        expected = [radical_member(f, ideal) for f, ideal in corpus]
+        assert 0 < sum(expected) < len(expected)
+        assert expected == [radical_by_lifted_basis(f, ideal) for f, ideal in corpus]
+        calls = counting_s_pairs(monkeypatch)
+        extension_pairs = 0
+        for (f, ideal), verdict in zip(corpus, expected):
+            degrees = [ideals._degree(f) + 1, *map(ideals._degree, ideal.generators)]
+            pk = ideals._Packing(ideal.context.nvars + 1, 2 * max(degrees))
+            pk, rows = ideals._reduced_basis(pk, pk.rows(ideal.generators), ideals._Budget(10**6))
+            assert rows == pk.rows(buchberger(ideal).basis)
+            calls.clear()
+            assert ideals._in_radical(pk, rows, len(rows), f, ideals._Budget(10**6)) is verdict
+            assert not any(first in rows and second in rows for first, second, _ in calls)
+            extension_pairs += sum(first in rows for first, _, _ in calls)
+        assert extension_pairs
+
 
 CAYLEY_TEXT = "x1*x2*x3 + x0*x2*x3 + x0*x1*x3 + x0*x1*x2"
 FERMAT3_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
@@ -712,6 +740,14 @@ TWISTED_CUBIC_FIELD = Derivation.diagonal(P3, (3, 1, -1, -3))
 FAT_CURVE = ideal_of(P4, "x0^2", "x3^2", "x4^2")
 #: the field and curve of the README's budget example
 CONJUGATED = load_problem(str(Path(__file__).resolve().parent.parent / "bench" / "problems" / "conjugated.json"))
+#: (field, curve, scheme_theoretic, verdict) of the vanishing fixtures
+VERDICTS = [
+    pytest.param(FIELD, CURVE, False, True, id="quadric"),
+    pytest.param(TWISTED_CUBIC_FIELD, TWISTED_CUBIC, False, False, id="twisted-cubic"),
+    pytest.param(FIELD, FAT_CURVE, False, True, id="fat"),
+    pytest.param(FIELD, FAT_CURVE, True, False, id="fat-scheme"),
+    pytest.param(CONJUGATED.derivation, CONJUGATED.ideal, False, True, id="conjugated"),
+]
 
 #: (computation under a step budget, exact number of budget steps it takes),
 #: recorded before reduction moved onto a mutable term dict: the engine may
@@ -743,7 +779,7 @@ PINNED_STEPS = [
         lambda s: vanishes_on(FIELD, CURVE, scheme_theoretic=True, max_steps=s), 5, id="vanishes-quadric-scheme"
     ),
     pytest.param(
-        lambda s: vanishes_on(TWISTED_CUBIC_FIELD, TWISTED_CUBIC, max_steps=s), 12, id="vanishes-twisted-cubic"
+        lambda s: vanishes_on(TWISTED_CUBIC_FIELD, TWISTED_CUBIC, max_steps=s), 10, id="vanishes-twisted-cubic"
     ),
     pytest.param(lambda s: vanishes_on(FIELD, FAT_CURVE, max_steps=s), 3, id="vanishes-fat"),
     pytest.param(
@@ -758,8 +794,10 @@ PINNED_STEPS = [
 #: S-pairs each computation of PINNED_STEPS reduces, in the same order,
 #: recorded when the engine's S-pairs still went through ``s_polynomial``
 #: (the moved Cayley cubic's 118 steps and 16 S-pairs, and the vanishing
-#: pins, were recorded later)
-PINNED_S_PAIRS = [0, 15, 16, 25, 45, 25, 11, 0, 0, 10, 21, 0, 1]
+#: pins, were recorded later; the twisted cubic's vanishing pins went from
+#: 12 steps and 10 S-pairs to 10 and 8 when extension runs stopped pairing
+#: the rows of the completed curve basis)
+PINNED_S_PAIRS = [0, 15, 16, 25, 45, 25, 11, 0, 0, 8, 21, 0, 1]
 
 #: (generators in P^3, exact number of budget steps, reduced basis) for
 #: generators that share a leading monomial: minimalisation keeps one element
@@ -1039,17 +1077,9 @@ class TestVanishesOn:
     def test_minors_in_the_ideal_build_no_extension_basis(self, monkeypatch):
         runs = recording_groebner_runs(monkeypatch)
         assert vanishes_on(FIELD, CURVE)
-        assert [pk.nvars for pk, _ in runs] == [P4.nvars]  # the curve basis only
+        assert [pk.nvars for pk, _ in runs] == [P4.nvars + 1]  # the curve basis only, with t's field
 
-    @pytest.mark.parametrize(
-        "field, curve, scheme_theoretic, verdict",
-        [
-            pytest.param(FIELD, CURVE, False, True, id="quadric"),
-            pytest.param(TWISTED_CUBIC_FIELD, TWISTED_CUBIC, False, False, id="twisted-cubic"),
-            pytest.param(FIELD, FAT_CURVE, False, True, id="fat"),
-            pytest.param(FIELD, FAT_CURVE, True, False, id="fat-scheme"),
-        ],
-    )
+    @pytest.mark.parametrize("field, curve, scheme_theoretic, verdict", VERDICTS)
     def test_packs_the_curve_basis_once(self, monkeypatch, field, curve, scheme_theoretic, verdict):
         packings = []
 
@@ -1060,10 +1090,26 @@ class TestVanishesOn:
 
         monkeypatch.setattr(ideals, "_Packing", Counted)
         assert vanishes_on(field, curve, scheme_theoretic=scheme_theoretic) is verdict
-        # the curve's Groebner run, then the rows of its basis with t's field,
-        # which every minor and every extension test share
-        nvars = curve.context.nvars
-        assert packings == [nvars, nvars + 1]
+        # one packing with t's field: the curve's Groebner run and the rows of
+        # its basis, which every minor and every extension test share
+        assert packings == [curve.context.nvars + 1]
+
+    @pytest.mark.parametrize("field, curve, scheme_theoretic, verdict", VERDICTS)
+    def test_never_leaves_the_engine(self, monkeypatch, field, curve, scheme_theoretic, verdict):
+        """GB(I) stays rows: no reduced basis is built as polynomials, and each
+        curve generator is scanned for parameters once."""
+
+        def leaves(*args):
+            raise AssertionError("the verdict left the Groebner engine")
+
+        monkeypatch.setattr(ideals, "buchberger", leaves)
+        monkeypatch.setattr(ideals, "_polynomial", leaves)
+        scanned = []
+        parameter_free = Polynomial.is_parameter_free
+        monkeypatch.setattr(Polynomial, "is_parameter_free", lambda p: scanned.append(p) or parameter_free(p))
+        assert vanishes_on(field, curve, scheme_theoretic=scheme_theoretic) is verdict
+        assert len(scanned) == len(curve.generators)
+        assert all(p is g for p, g in zip(scanned, curve.generators))
 
     def test_extension_tests_share_the_basis_rows(self, monkeypatch):
         runs = recording_groebner_runs(monkeypatch)
@@ -1085,8 +1131,9 @@ class TestVanishesOn:
     def test_a_minor_outside_the_ideal_builds_an_extension_basis(self, monkeypatch):
         runs = recording_groebner_runs(monkeypatch)
         assert not vanishes_on(TWISTED_CUBIC_FIELD, TWISTED_CUBIC)
-        # the curve basis, then the extension basis of the first minor, x0*x1
-        assert [pk.nvars for pk, _ in runs] == [P3.nvars, P3.nvars + 1]
+        # the curve basis, then the extension basis of the first minor, x0*x1,
+        # both with t's field
+        assert [pk.nvars for pk, _ in runs] == [P3.nvars + 1, P3.nvars + 1]
 
     def test_builds_each_minor_when_it_tests_it(self, monkeypatch):
         """The minors come one at a time, and the first one outside the
